@@ -61,20 +61,16 @@ cargo test -q --workspace
 echo "== cargo test (workspace, KFDS_SIMD=off — scalar reference paths) =="
 KFDS_SIMD=off cargo test -q --workspace
 
-echo "== cargo test (workspace, KFDS_CPQR=unblocked + KFDS_EVAL_GEMM=off — BLAS-2 setup paths) =="
-# The legacy one-reflector CPQR and the scalar kernel-block assembly are the
-# bitwise reference for the blocked setup pipeline; keep them green.
-KFDS_CPQR=unblocked KFDS_EVAL_GEMM=off cargo test -q --workspace
-
 echo "== cargo test (kfds-la, KFDS_WS_POOL=off — global-allocator workspace path) =="
 # The pool kill-switch must leave every factorization/solve result
 # untouched (the pool only changes where scratch memory comes from).
 KFDS_WS_POOL=off cargo test -q -p kfds-la
 
-echo "== cargo test (kfds-tree, KFDS_KNN=scalar — scalar-distance kNN reference) =="
-# The GEMM-tile neighbor search must agree with the scalar reference
-# under both search modes; this lane runs the tree suite on that path.
-KFDS_KNN=scalar cargo test -q -p kfds-tree
+echo "== perfbench (the benchmark crate: its own workspace and lockfile) =="
+# The benchmark builds against the library crates by path with its own
+# unchanged lockfile, so a library change that breaks it must fail here.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 if [[ $miri -eq 1 ]]; then
   echo "== miri lane (kfds-la deterministic suite under the interpreter) =="
@@ -105,37 +101,28 @@ if [[ $tsan -eq 1 ]]; then
   fi
 fi
 
-echo "== dispatch checks (simd, cpqr, gemm eval, knn, refactor, batch, scaling) =="
+echo "== dispatch checks (simd, batch, scaling) =="
 # Fails if this host supports AVX2+FMA but the vector kernels silently
-# fell back to scalar, or if the blocked CPQR / GEMM eval / GEMM-tile kNN
-# paths silently deactivated (dispatch or build regression). The knn,
-# refactor, and batch gates run separately so a neighbor-search, λ-sweep
-# refactorization, or level-batched engine regression is named in the
-# output; the refactor and batch gates also verify their KFDS_* opt-outs
-# reproduce the legacy paths (KFDS_BATCH=off must route back to the
-# per-node engine; the default must be bitwise vs per-node). The scaling
-# gate arms only on hosts with >= 2 physical cores (it reports not-armed
-# and passes elsewhere) and then requires multi-thread setup+factorize to
-# beat single-thread wall-clock.
+# fell back to scalar (dispatch or build regression). The batch gate runs
+# separately so a level-batched engine regression is named in the output;
+# it also verifies KFDS_BATCH=off routes back to the per-node engine and
+# that the default is bitwise vs per-node. The scaling gate arms only on
+# hosts with >= 2 physical cores (it reports not-armed and passes
+# elsewhere) and then requires multi-thread setup+factorize to beat
+# single-thread wall-clock.
 if [[ $fast -eq 0 ]]; then
   cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check
-  cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check knn
-  cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check refactor
-  KFDS_REFACTOR=off cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check refactor
   cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check batch
   KFDS_BATCH=off cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check batch
   cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check scaling
 else
   cargo run -q -p kfds-bench --bin perf_trajectory -- --check
-  cargo run -q -p kfds-bench --bin perf_trajectory -- --check knn
-  cargo run -q -p kfds-bench --bin perf_trajectory -- --check refactor
-  KFDS_REFACTOR=off cargo run -q -p kfds-bench --bin perf_trajectory -- --check refactor
   cargo run -q -p kfds-bench --bin perf_trajectory -- --check batch
   KFDS_BATCH=off cargo run -q -p kfds-bench --bin perf_trajectory -- --check batch
   cargo run -q -p kfds-bench --bin perf_trajectory -- --check scaling
 fi
 
-echo "== kfds-serve smoke (single-node, then sharded) =="
+echo "== kfds-serve smoke (single-node, sharded, then unbatched) =="
 # Stands up the batched solve service under closed-loop load and asserts a
 # clean run: zero errors, every request answered, cache hit rate > 0, and
 # exactly one λ-free setup build across the λ-only key spread (the
@@ -143,20 +130,16 @@ echo "== kfds-serve smoke (single-node, then sharded) =="
 # through the shard tier and additionally asserts the routed answer is
 # bitwise-identical to the unsharded blocked solve plus per-shard cache
 # counters (one local partition fill per shard per key, zero errors, zero
-# fallbacks).
+# fallbacks). The --max-batch 1 lane serves every request as a batch of
+# one, the unbatched service, and asserts no larger batch ran.
 if [[ $fast -eq 0 ]]; then
   cargo run -q --release -p kfds-serve --bin kfds-serve -- --smoke --n 1024 --keys 2 --clients 8 --requests 64
   cargo run -q --release -p kfds-serve --bin kfds-serve -- --smoke --shards 2 --n 1024 --keys 2 --clients 8 --requests 64
-  # Kill-switch lanes: KFDS_SERVE_BATCH=off must still answer every
-  # request (batches of one), and KFDS_SHARD=off must turn a --shards
-  # request back into the bitwise-identical single-node service.
-  KFDS_SERVE_BATCH=off cargo run -q --release -p kfds-serve --bin kfds-serve -- --smoke --n 1024 --keys 2 --clients 8 --requests 64
-  KFDS_SHARD=off cargo run -q --release -p kfds-serve --bin kfds-serve -- --smoke --shards 2 --n 1024 --keys 2 --clients 8 --requests 64
+  cargo run -q --release -p kfds-serve --bin kfds-serve -- --smoke --max-batch 1 --n 1024 --keys 2 --clients 8 --requests 64
 else
   cargo run -q -p kfds-serve --bin kfds-serve -- --smoke --n 512 --keys 2 --clients 4 --requests 32
   cargo run -q -p kfds-serve --bin kfds-serve -- --smoke --shards 2 --n 512 --keys 2 --clients 4 --requests 32
-  KFDS_SERVE_BATCH=off cargo run -q -p kfds-serve --bin kfds-serve -- --smoke --n 512 --keys 2 --clients 4 --requests 32
-  KFDS_SHARD=off cargo run -q -p kfds-serve --bin kfds-serve -- --smoke --shards 2 --n 512 --keys 2 --clients 4 --requests 32
+  cargo run -q -p kfds-serve --bin kfds-serve -- --smoke --max-batch 1 --n 512 --keys 2 --clients 4 --requests 32
 fi
 
 echo "CI OK"

@@ -326,43 +326,11 @@ mod tests {
         assert_eq!(y.len(), sk.rank());
     }
 
-    /// Serializes tests that flip the global CPQR / eval-path switches
-    /// (same convention as the `POOL_TOGGLE` mutex in the la/kernels
-    /// property tests).
-    static SETUP_TOGGLE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    /// RAII guard: forces the pre-BLAS-3 setup pipeline (unblocked CPQR +
-    /// scalar block assembly) or the blocked one, restoring the prior
-    /// state on drop (including on panic).
-    struct SetupMode {
-        prev_cpqr: bool,
-        prev_eval: bool,
-    }
-
-    impl SetupMode {
-        fn force(blocked: bool) -> Self {
-            let prev_cpqr = kfds_la::cpqr::blocked_active();
-            let prev_eval = kfds_kernels::gemm_eval_active();
-            kfds_la::cpqr::set_cpqr_blocked(blocked);
-            kfds_kernels::set_gemm_eval_enabled(blocked);
-            SetupMode { prev_cpqr, prev_eval }
-        }
-    }
-
-    impl Drop for SetupMode {
-        fn drop(&mut self) {
-            kfds_la::cpqr::set_cpqr_blocked(self.prev_cpqr);
-            kfds_kernels::set_gemm_eval_enabled(self.prev_eval);
-        }
-    }
-
     #[test]
     fn blocked_path_preserves_invariants() {
         // The blocked RRQR + GEMM assembly must preserve the structural
         // guarantees of the construction: every non-root node skeletonized,
         // nested skeletons, skeleton points inside their node.
-        let _guard = SETUP_TOGGLE.lock().unwrap();
-        let _mode = SetupMode::force(true);
         let p = normal_embedded(512, 2, 8, 0.01, 5);
         let tree = BallTree::build(&p, 32);
         let cfg = SkelConfig::default()
@@ -388,41 +356,6 @@ mod tests {
                 for &s in &sk.skeleton {
                     assert!(union.contains(&s), "node {i}: skeleton {s} not nested");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_and_unblocked_setup_agree() {
-        // On a well-conditioned workload the blocked panel CPQR picks the
-        // same pivots as the unblocked reference, and the GEMM-assembled
-        // kernel blocks agree with the scalar ones to rounding — so the two
-        // full pipelines must select identical skeletons and ranks.
-        let _guard = SETUP_TOGGLE.lock().unwrap();
-        let p = normal_embedded(512, 2, 8, 0.01, 9);
-        let cfg = SkelConfig::default()
-            .with_tol(1e-4)
-            .with_max_rank(64)
-            .with_neighbors(8)
-            .with_max_level(1);
-        let kernel = Gaussian::new(2.0);
-        let st_blocked = {
-            let _mode = SetupMode::force(true);
-            skeletonize(BallTree::build(&p, 32), &kernel, cfg.clone())
-        };
-        let st_ref = {
-            let _mode = SetupMode::force(false);
-            skeletonize(BallTree::build(&p, 32), &kernel, cfg)
-        };
-        assert_eq!(st_blocked.is_fully_skeletonized(), st_ref.is_fully_skeletonized());
-        for i in 0..st_ref.tree().nodes().len() {
-            match (st_blocked.skeleton(i), st_ref.skeleton(i)) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.rank(), b.rank(), "node {i}: rank mismatch");
-                    assert_eq!(a.skeleton, b.skeleton, "node {i}: skeleton mismatch");
-                }
-                _ => panic!("node {i}: skeletonized under one path only"),
             }
         }
     }

@@ -4,47 +4,37 @@
 //!
 //! Workloads are the Fig. 4-left complexity-sweep configs and the
 //! Table III dataset configs, scaled to this container. Each workload runs
-//! over the (pool, simd, cpqr) A/B grid — the [`kfds_la::workspace`] pool
-//! kill-switch, the [`kfds_la::simd`] microkernel kill-switch, and the
-//! blocked-setup kill-switches ([`kfds_la::cpqr`] blocked RRQR +
-//! [`kfds_kernels`] GEMM block assembly, toggled together) — at 1 and 4
-//! rayon threads, recording best-of-3 wall-clock for every pipeline phase
-//! (`t_tree_s`, `t_knn_s`, `t_skel_s`, `t_factor_s`, `t_solve_s`,
+//! over the (pool, simd) A/B grid — the [`kfds_la::workspace`] pool
+//! kill-switch and the [`kfds_la::simd`] microkernel kill-switch — at 1
+//! and 4 rayon threads, recording best-of-3 wall-clock for every pipeline
+//! phase (`t_tree_s`, `t_knn_s`, `t_skel_s`, `t_factor_s`, `t_solve_s`,
 //! `t_solve16_s`), GFLOP/s from the solver's explicit flop counters, peak
-//! RSS, and pool hit rates. The `cpqr=false` rows reproduce the pre-BLAS-3
-//! setup numerics (unblocked one-reflector CPQR + per-entry scalar kernel
-//! evaluation), so `skel_speedup` in the summary is the before/after of
-//! this PR's setup rebuild. The kNN stage is measured under both `KFDS_KNN`
-//! states per thread count (`t_knn_s` = blocked GEMM-tile search,
-//! `t_knn_scalar_s` = legacy scalar search), giving the `knn_speedup`
-//! summary lines. Thread counts above the host's *physical* core count
-//! are **skipped** (and listed in the JSON's `skipped_rows`): timing them
-//! would only measure time-slicing, so the committed trail carries no row
-//! whose wall-clock is not a real parallel measurement.
+//! RSS, and pool hit rates. Thread counts above the host's *physical*
+//! core count are **skipped** (and listed in the JSON's `skipped_rows`):
+//! timing them would only measure time-slicing, so the committed trail
+//! carries no row whose wall-clock is not a real parallel measurement.
 //!
 //! ```sh
 //! cargo run --release -p kfds-bench --bin perf_trajectory [-- --scale 2]
 //! # writes BENCH_factor.json in the current directory (run from repo root)
 //! cargo run --release -p kfds-bench --bin perf_trajectory -- --check [gate]
 //! # dispatch sanity only: exits 1 if this host supports AVX2+FMA but the
-//! # vector kernels are inactive, or if the blocked CPQR / GEMM assembly /
-//! # GEMM-tile kNN paths silently fell back, without the matching KFDS_*
-//! # opt-out. An optional gate name (simd | cpqr | eval | knn | refactor |
-//! # batch | scaling) runs one gate alone. The `scaling` gate arms only on
-//! # hosts with >= 2 physical cores and then requires a multi-thread
-//! # setup+factorize to beat single-thread wall-clock. The `batch` gate
-//! # requires the level-batched engine to be active (absent KFDS_BATCH=off)
-//! # and to reproduce the per-node engine bitwise end to end.
+//! # vector kernels are inactive without the KFDS_SIMD opt-out. An
+//! # optional gate name (simd | batch | scaling) runs one gate alone. The
+//! # `scaling` gate arms only on hosts with >= 2 physical cores and then
+//! # requires a multi-thread setup+factorize to beat single-thread
+//! # wall-clock. The `batch` gate requires the level-batched engine to be
+//! # active (absent KFDS_BATCH=off) and to reproduce the per-node engine
+//! # bitwise end to end.
 //! ```
 
 use kfds_askit::{compute_neighbors, skeletonize_with_neighbors};
 use kfds_bench::{arg_f64, harness_skel_config, scaled_bandwidth, standin, test_vec, timed};
 use kfds_core::{
-    assemble_blocks, factorize, factorize_with_blocks, refactor_enabled, LevelStats, SolverConfig,
-    StorageMode,
+    assemble_blocks, factorize, factorize_with_blocks, LevelStats, SolverConfig, StorageMode,
 };
 use kfds_kernels::Gaussian;
-use kfds_la::{cpqr, simd, workspace, ColPivQr, Mat};
+use kfds_la::{simd, workspace, Mat};
 use kfds_tree::datasets::normal_embedded;
 use kfds_tree::{BallTree, PointSet};
 use std::sync::Arc;
@@ -65,10 +55,8 @@ struct Run {
     threads: usize,
     pool: bool,
     simd: bool,
-    cpqr: bool,
     t_tree_s: f64,
     t_knn_s: f64,
-    t_knn_scalar_s: f64,
     t_skel_s: f64,
     t_factor_s: f64,
     /// λ-independent kernel block assembly (full-fast rows only; 0.0
@@ -103,15 +91,10 @@ struct Run {
 /// minimum (best-of-3 suppresses time-slicing noise on shared hosts).
 const REPS: usize = 3;
 
-/// Applies one point of the (pool, simd, cpqr) grid. The `cpqr` axis
-/// toggles both BLAS-3 setup paths together — the blocked panel CPQR and
-/// the GEMM-backed kernel block assembly — because `cpqr=false` is meant to
-/// reproduce the full pre-BLAS-3 setup pipeline.
-fn apply_grid(pool: bool, simd_on: bool, cpqr_on: bool) {
+/// Applies one point of the (pool, simd) grid.
+fn apply_grid(pool: bool, simd_on: bool) {
     workspace::set_pool_enabled(pool);
     simd::set_simd_enabled(simd_on);
-    cpqr::set_cpqr_blocked(cpqr_on);
-    kfds_kernels::set_gemm_eval_enabled(cpqr_on);
 }
 
 fn main() {
@@ -130,10 +113,9 @@ fn main() {
         threads_list.iter().copied().filter(|&t| t <= phys_cores).collect();
     let skipped_threads: Vec<usize> =
         threads_list.iter().copied().filter(|&t| t > phys_cores).collect();
-    // (pool, simd, cpqr): pool-off baseline, scalar reference, pre-BLAS-3
-    // setup baseline, and the full fast path.
-    let configs =
-        [(false, true, true), (true, false, true), (true, true, false), (true, true, true)];
+    // (pool, simd): pool-off baseline, scalar reference, and the full fast
+    // path.
+    let configs = [(false, true), (true, false), (true, true)];
     let mut runs: Vec<Run> = Vec::new();
     let mut skipped: Vec<(String, usize)> = Vec::new();
 
@@ -152,34 +134,24 @@ fn main() {
         for &threads in &run_threads {
             let pool_handle =
                 rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-            // Tree build is invariant under the grid switches; kNN is the
-            // `KFDS_KNN` A/B pair — time both paths once per thread count
-            // and share the numbers across the grid rows. The blocked
-            // lists are the ones handed to skeletonization (both paths
-            // return bitwise-identical lists whenever the selected sets
-            // agree, so recall/exactness is unchanged either way).
+            // Tree build and kNN are timed once per thread count and
+            // shared across the grid rows; the neighbor lists are the ones
+            // handed to skeletonization.
             let mut t_tree = f64::INFINITY;
             let mut t_knn = f64::INFINITY;
-            let mut t_knn_scalar = f64::INFINITY;
             let mut shared_nn = None;
             for _ in 0..REPS {
                 let (tree, tt) =
                     pool_handle.install(|| timed(|| BallTree::build(&wl.points, wl.m)));
-                kfds_tree::set_knn_blocked(true);
                 let (nn, tk) =
                     pool_handle.install(|| timed(|| compute_neighbors(&tree, &skel_cfg)));
-                kfds_tree::set_knn_blocked(false);
-                let (_, tks) =
-                    pool_handle.install(|| timed(|| compute_neighbors(&tree, &skel_cfg)));
-                kfds_tree::set_knn_blocked(true);
                 t_tree = t_tree.min(tt);
                 t_knn = t_knn.min(tk);
-                t_knn_scalar = t_knn_scalar.min(tks);
                 shared_nn = Some(nn);
             }
             let nn = shared_nn.expect("REPS > 0");
-            for &(pool, simd_on, cpqr_on) in &configs {
-                apply_grid(pool, simd_on, cpqr_on);
+            for &(pool, simd_on) in &configs {
+                apply_grid(pool, simd_on);
                 let kernel = Gaussian::new(wl.h);
                 // Warm-up pass: fault in pages / fill the workspace pool so
                 // the measured passes reflect steady state.
@@ -205,7 +177,7 @@ fn main() {
                 // fresh StoredGemv factorize, λ-only refactor) is measured
                 // on the full-fast configuration only, as is the
                 // `KFDS_BATCH` A/B (per-node engine setup timings).
-                let measure_refactor = pool && simd_on && cpqr_on;
+                let measure_refactor = pool && simd_on;
                 let measure_batch = measure_refactor && kfds_la::batch_active();
                 for _ in 0..REPS {
                     let tree = pool_handle.install(|| BallTree::build(&wl.points, wl.m));
@@ -285,10 +257,8 @@ fn main() {
                     threads,
                     pool,
                     simd: simd_on,
-                    cpqr: cpqr_on,
                     t_tree_s: t_tree,
                     t_knn_s: t_knn,
-                    t_knn_scalar_s: t_knn_scalar,
                     t_skel_s: t_skel,
                     t_factor_s: t_factor,
                     t_assemble_s: t_assemble,
@@ -308,7 +278,7 @@ fn main() {
                 });
                 let r = runs.last().expect("just pushed");
                 eprintln!(
-                    "  threads={threads} pool={pool} simd={simd_on} cpqr={cpqr_on}: skel {:.3}s, factor {:.3}s ({:.2} GFLOP/s), solve {:.4}s, solve16 {:.4}s ({:.0} rhs/s), hits/misses {}/{}",
+                    "  threads={threads} pool={pool} simd={simd_on}: skel {:.3}s, factor {:.3}s ({:.2} GFLOP/s), solve {:.4}s, solve16 {:.4}s ({:.0} rhs/s), hits/misses {}/{}",
                     r.t_skel_s, r.t_factor_s, r.gflops, r.t_solve_s, r.t_solve16_s, r.solve16_rhs_per_s, r.pool_hits, r.pool_misses
                 );
                 if measure_refactor {
@@ -331,7 +301,7 @@ fn main() {
             }
         }
     }
-    apply_grid(true, true, true);
+    apply_grid(true, true);
 
     let json = render_json(&runs, &skipped, scale);
     std::fs::write("BENCH_factor.json", &json).expect("write BENCH_factor.json");
@@ -340,26 +310,18 @@ fn main() {
 
 /// `--check [gate]`: verifies that every runtime-dispatched fast path is
 /// in the state the host and environment imply. Returns the process exit
-/// code. With a gate name (`simd` | `cpqr` | `eval` | `knn` | `refactor`
-/// | `batch` | `scaling`) only that gate runs.
+/// code. With a gate name (`simd` | `batch` | `scaling`) only that gate
+/// runs.
 ///
 /// * AVX2+FMA host, vector kernels active — OK.
 /// * `KFDS_SIMD=off`/`0` set — scalar mode was requested, OK.
 /// * non-x86 / pre-AVX2 host — scalar fallback is the implementation, OK.
 /// * AVX2+FMA host but kernels inactive with no opt-out — **failure**: the
 ///   scalar fallback silently engaged (a dispatch or build regression).
-/// * Blocked CPQR / GEMM assembly inactive (or not actually taken by a
-///   large factorization) without `KFDS_CPQR`/`KFDS_EVAL_GEMM` being set —
-///   **failure**: the BLAS-3 setup path silently fell back.
-/// * `KFDS_KNN` unset but an exact + approximate search computes no GEMM
-///   distance tiles — **failure**: kNN silently fell back to scalar.
 fn dispatch_check(gate: Option<&str>) -> i32 {
     if let Some(g) = gate {
-        if !["simd", "cpqr", "eval", "knn", "refactor", "batch", "scaling"].contains(&g) {
-            eprintln!(
-                "unknown dispatch gate {g:?} (expected simd | cpqr | eval | knn | refactor | \
-                 batch | scaling)"
-            );
+        if !["simd", "batch", "scaling"].contains(&g) {
+            eprintln!("unknown dispatch gate {g:?} (expected simd | batch | scaling)");
             return 2;
         }
     }
@@ -378,67 +340,6 @@ fn dispatch_check(gate: Option<&str>) -> i32 {
             return 1;
         } else {
             eprintln!("simd check: features {feats}, vector kernels active = {}", simd::active());
-        }
-    }
-
-    // Blocked-setup gate: with no opt-out in the environment, the blocked
-    // CPQR must (a) report active and (b) actually take the panel path for
-    // a factorization above the dispatch threshold.
-    if want("cpqr") {
-        let cpqr_env_off = kfds_switches::KFDS_CPQR.is_off();
-        if cpqr_env_off {
-            eprintln!("cpqr check: KFDS_CPQR=unblocked requested, BLAS-2 path active");
-        } else {
-            let before = cpqr::blocked_factor_count();
-            let a = Mat::from_fn(96, 96, |i, j| ((i * 7 + j * 13) as f64 * 0.19).sin());
-            let _ = ColPivQr::factor_truncated(a, 0.0, usize::MAX);
-            if !cpqr::blocked_active() || cpqr::blocked_factor_count() == before {
-                eprintln!(
-                    "cpqr check FAILED: KFDS_CPQR not set but a 96x96 factorization did not take \
-                     the blocked panel path — BLAS-2 fallback silently engaged"
-                );
-                return 1;
-            }
-            eprintln!("cpqr check: blocked panel path active");
-        }
-    }
-
-    if want("eval") {
-        let eval_env_off = kfds_switches::KFDS_EVAL_GEMM.is_off();
-        if eval_env_off {
-            eprintln!("eval check: KFDS_EVAL_GEMM=off requested, scalar block assembly active");
-        } else if !kfds_kernels::gemm_eval_active() {
-            eprintln!(
-                "eval check FAILED: KFDS_EVAL_GEMM not set but the GEMM block-assembly path is \
-                 inactive — scalar fallback silently engaged"
-            );
-            return 1;
-        } else {
-            eprintln!("eval check: GEMM block assembly active");
-        }
-    }
-
-    // kNN gate: with no opt-out, an exact + approximate search over a
-    // small set must route through the blocked pipeline and compute at
-    // least one GEMM distance tile.
-    if want("knn") {
-        let knn_env_off = kfds_switches::KFDS_KNN.is_off();
-        if knn_env_off {
-            eprintln!("knn check: KFDS_KNN=scalar requested, scalar neighbor search active");
-        } else {
-            let before = kfds_tree::blocked_tile_count();
-            let pts = normal_embedded(256, 4, 8, 0.1, 3);
-            let tree = BallTree::build(&pts, 32);
-            let _ = kfds_tree::knn_all(&tree, 8);
-            let _ = kfds_tree::knn_approximate(&tree, 8, 2, 7);
-            if !kfds_tree::knn_blocked_active() || kfds_tree::blocked_tile_count() == before {
-                eprintln!(
-                    "knn check FAILED: KFDS_KNN not set but a 256-point exact + approximate \
-                     search computed no GEMM distance tiles — scalar fallback silently engaged"
-                );
-                return 1;
-            }
-            eprintln!("knn check: blocked GEMM-tile neighbor search active");
         }
     }
 
@@ -498,70 +399,6 @@ fn dispatch_check(gate: Option<&str>) -> i32 {
                 "scaling check: {threads}-thread setup+factorize {speedup:.2}x over \
                  single-thread ({t1:.3}s -> {tp:.3}s) on {phys} physical cores"
             );
-        }
-    }
-
-    // Refactorization gate: with no opt-out, the λ-sweep refactor path
-    // must be enabled AND reproduce a fresh StoredGemv factorization
-    // bitwise across a λ grid (the contract `KFDS_REFACTOR=off` falls
-    // back from).
-    if want("refactor") {
-        let refactor_env_off = kfds_switches::KFDS_REFACTOR.is_off();
-        if refactor_env_off {
-            if refactor_enabled() {
-                eprintln!(
-                    "refactor check FAILED: KFDS_REFACTOR=off is set but the refactorization \
-                     path reports enabled — the kill-switch is not being honored"
-                );
-                return 1;
-            }
-            eprintln!("refactor check: KFDS_REFACTOR=off requested, legacy per-λ path active");
-        } else {
-            if !refactor_enabled() {
-                eprintln!(
-                    "refactor check FAILED: KFDS_REFACTOR not set but the refactorization path \
-                     is inactive — λ sweeps silently fell back to full per-λ factorizations"
-                );
-                return 1;
-            }
-            let pts = normal_embedded(512, 3, 8, 0.05, 29);
-            let kernel = Gaussian::new(1.0);
-            let tree = BallTree::build(&pts, 64);
-            let skel_cfg = harness_skel_config(pts.dim(), 1e-5, 48, 1);
-            let st = skeletonize_with_neighbors(
-                tree.clone(),
-                &kernel,
-                skel_cfg.clone(),
-                &compute_neighbors(&tree, &skel_cfg),
-            );
-            let blocks = Arc::new(assemble_blocks(&st, &kernel));
-            let base = SolverConfig::default().with_storage(StorageMode::StoredGemv);
-            let mut seed_ft: Option<kfds_core::FactorTree<'_, Gaussian>> = None;
-            for &lambda in &[1e-3, 0.1, 1.0, 10.0] {
-                let cfg = base.with_lambda(lambda);
-                // First λ exercises factorize_with_blocks, the rest the
-                // FactorTree::refactor chain (block reuse without
-                // reassembly).
-                let ft = match &seed_ft {
-                    None => factorize_with_blocks(&st, &kernel, Arc::clone(&blocks), cfg)
-                        .expect("blocked factorize"),
-                    Some(prev) => prev.refactor(lambda).expect("refactor"),
-                };
-                let fresh = factorize(&st, &kernel, cfg).expect("fresh factorize");
-                let mut a = test_vec(512, 7);
-                let mut b = a.clone();
-                ft.solve_in_place(&mut a).expect("blocked solve");
-                fresh.solve_in_place(&mut b).expect("fresh solve");
-                if a != b {
-                    eprintln!(
-                        "refactor check FAILED: λ = {lambda} refactorized solve differs from a \
-                         fresh StoredGemv factorization — the bitwise reuse contract is broken"
-                    );
-                    return 1;
-                }
-                seed_ft = Some(ft);
-            }
-            eprintln!("refactor check: λ-sweep refactorization active and bitwise across λ grid");
         }
     }
 
@@ -722,7 +559,7 @@ fn render_json(runs: &[Run], skipped: &[(String, usize)], scale: f64) -> String 
     s.push_str(&format!("  \"host_physical_cores\": {},\n", physical_cores()));
     s.push_str(&format!("  \"host_simd\": \"{}\",\n", simd::detected_features()));
     s.push_str(&format!("  \"reps_best_of\": {REPS},\n"));
-    s.push_str("  \"note\": \"pool=false disables the kfds-la workspace pool at runtime; simd=false forces the scalar reference kernels (the pre-SIMD numerics, bitwise); cpqr=false forces the pre-BLAS-3 setup pipeline (unblocked one-reflector CPQR + per-entry scalar kernel block assembly, bitwise). simd_speedup compares (pool on, simd off) vs the full fast path at factor time; pool_speedup compares pool off vs on; skel_speedup compares cpqr off vs on at skeletonization time — the setup win of the blocked RRQR + GEMM assembly. Timings are best-of-3. t_tree_s is invariant under the grid switches and is measured once per thread count (shared across that thread count's rows); kNN is measured A/B per thread count — t_knn_s is the blocked GEMM-tile search (KFDS_KNN default) and t_knn_scalar_s the legacy scalar search, so knn_speedup = t_knn_scalar_s / t_knn_s. Thread counts above host_physical_cores are skipped entirely and listed in skipped_rows: timing them would measure time-slicing, not parallel speedup (run `--check scaling` on a multi-core host for the armed strong-scaling gate). batch16_solve_amortization is (16 * t_solve_s) / t_solve16_s — the per-RHS win of one blocked traversal over 16 single solves. The λ-sweep refactorization triplet is measured on the full-fast rows only (0.0 elsewhere): t_assemble_s is the one-time λ-independent kernel block assembly, t_factor_stored_s a fresh StoredGemv factorization (the fair per-λ baseline), and t_refactor_s the λ-only refactorization over the pre-assembled blocks. refactor_speedup = t_factor_stored_s / t_refactor_s is the steady-state per-λ win; lambda_sweep_amortization = (8 * t_factor_stored_s) / (t_assemble_s + 8 * t_refactor_s) is the end-to-end win of an 8-λ cross-validation sweep including the assembly it amortizes. The KFDS_BATCH A/B is measured on the full-fast rows only (0.0 elsewhere): t_skel_pernode_s / t_factor_pernode_s rerun the same skeletonize/factorize under the per-node engine, so batch_setup_speedup = (t_skel_pernode_s + t_factor_pernode_s) / (t_skel_s + t_factor_s) is the win of the level-batched planner (bitwise-identical output, scheduling only). factor_levels is the batched factorization's per-level breakdown: nodes per level, shape-bucketed op groups launched, and wall-clock seconds, recorded root-last (bottom-up).\",\n");
+    s.push_str("  \"note\": \"pool=false disables the kfds-la workspace pool at runtime; simd=false forces the scalar reference kernels (the pre-SIMD numerics, bitwise). simd_speedup compares (pool on, simd off) vs the full fast path at factor time; pool_speedup compares pool off vs on. Timings are best-of-3. t_tree_s and t_knn_s are invariant under the grid switches and are measured once per thread count (shared across that thread count's rows). Thread counts above host_physical_cores are skipped entirely and listed in skipped_rows: timing them would measure time-slicing, not parallel speedup (run `--check scaling` on a multi-core host for the armed strong-scaling gate). batch16_solve_amortization is (16 * t_solve_s) / t_solve16_s — the per-RHS win of one blocked traversal over 16 single solves. The λ-sweep refactorization triplet is measured on the full-fast rows only (0.0 elsewhere): t_assemble_s is the one-time λ-independent kernel block assembly, t_factor_stored_s a fresh StoredGemv factorization (the fair per-λ baseline), and t_refactor_s the λ-only refactorization over the pre-assembled blocks. refactor_speedup = t_factor_stored_s / t_refactor_s is the steady-state per-λ win; lambda_sweep_amortization = (8 * t_factor_stored_s) / (t_assemble_s + 8 * t_refactor_s) is the end-to-end win of an 8-λ cross-validation sweep including the assembly it amortizes. The KFDS_BATCH A/B is measured on the full-fast rows only (0.0 elsewhere): t_skel_pernode_s / t_factor_pernode_s rerun the same skeletonize/factorize under the per-node engine, so batch_setup_speedup = (t_skel_pernode_s + t_factor_pernode_s) / (t_skel_s + t_factor_s) is the win of the level-batched planner (bitwise-identical output, scheduling only). factor_levels is the batched factorization's per-level breakdown: nodes per level, shape-bucketed op groups launched, and wall-clock seconds, recorded root-last (bottom-up).\",\n");
     s.push_str("  \"skipped_rows\": [\n");
     for (i, (label, threads)) in skipped.iter().enumerate() {
         s.push_str(&format!(
@@ -746,16 +583,14 @@ fn render_json(runs: &[Run], skipped: &[(String, usize)], scale: f64) -> String 
             .collect::<Vec<_>>()
             .join(", ");
         s.push_str(&format!(
-            "    {{\"label\": \"{}\", \"n\": {}, \"threads\": {}, \"pool\": {}, \"simd\": {}, \"cpqr\": {}, \"t_tree_s\": {:.6}, \"t_knn_s\": {:.6}, \"t_knn_scalar_s\": {:.6}, \"t_skel_s\": {:.6}, \"t_factor_s\": {:.6}, \"t_assemble_s\": {:.6}, \"t_factor_stored_s\": {:.6}, \"t_refactor_s\": {:.6}, \"t_skel_pernode_s\": {:.6}, \"t_factor_pernode_s\": {:.6}, \"t_solve_s\": {:.6}, \"t_solve16_s\": {:.6}, \"solve16_rhs_per_s\": {:.1}, \"flops\": {:.3e}, \"factor_gflops\": {:.4}, \"pool_hits\": {}, \"pool_misses\": {}, \"peak_rss_kb\": {}, \"factor_levels\": [{}]}}{}\n",
+            "    {{\"label\": \"{}\", \"n\": {}, \"threads\": {}, \"pool\": {}, \"simd\": {}, \"t_tree_s\": {:.6}, \"t_knn_s\": {:.6}, \"t_skel_s\": {:.6}, \"t_factor_s\": {:.6}, \"t_assemble_s\": {:.6}, \"t_factor_stored_s\": {:.6}, \"t_refactor_s\": {:.6}, \"t_skel_pernode_s\": {:.6}, \"t_factor_pernode_s\": {:.6}, \"t_solve_s\": {:.6}, \"t_solve16_s\": {:.6}, \"solve16_rhs_per_s\": {:.1}, \"flops\": {:.3e}, \"factor_gflops\": {:.4}, \"pool_hits\": {}, \"pool_misses\": {}, \"peak_rss_kb\": {}, \"factor_levels\": [{}]}}{}\n",
             r.label,
             r.n,
             r.threads,
             r.pool,
             r.simd,
-            r.cpqr,
             r.t_tree_s,
             r.t_knn_s,
-            r.t_knn_scalar_s,
             r.t_skel_s,
             r.t_factor_s,
             r.t_assemble_s,
@@ -778,10 +613,9 @@ fn render_json(runs: &[Run], skipped: &[(String, usize)], scale: f64) -> String 
     s.push_str("  ],\n");
     s.push_str("  \"summary\": {\n");
     let mut lines = Vec::new();
-    for r in runs.iter().filter(|r| r.pool && r.simd && r.cpqr) {
-        if let Some(before) = runs
-            .iter()
-            .find(|b| !b.pool && b.simd && b.cpqr && b.label == r.label && b.threads == r.threads)
+    for r in runs.iter().filter(|r| r.pool && r.simd) {
+        if let Some(before) =
+            runs.iter().find(|b| !b.pool && b.simd && b.label == r.label && b.threads == r.threads)
         {
             lines.push(format!(
                 "    \"{}_t{}_pool_speedup\": {:.4}",
@@ -790,9 +624,8 @@ fn render_json(runs: &[Run], skipped: &[(String, usize)], scale: f64) -> String 
                 before.t_factor_s / r.t_factor_s
             ));
         }
-        if let Some(scalar) = runs
-            .iter()
-            .find(|b| b.pool && !b.simd && b.cpqr && b.label == r.label && b.threads == r.threads)
+        if let Some(scalar) =
+            runs.iter().find(|b| b.pool && !b.simd && b.label == r.label && b.threads == r.threads)
         {
             lines.push(format!(
                 "    \"{}_t{}_simd_speedup\": {:.4}",
@@ -801,30 +634,6 @@ fn render_json(runs: &[Run], skipped: &[(String, usize)], scale: f64) -> String 
                 scalar.t_factor_s / r.t_factor_s
             ));
         }
-        if let Some(blas2) = runs
-            .iter()
-            .find(|b| b.pool && b.simd && !b.cpqr && b.label == r.label && b.threads == r.threads)
-        {
-            lines.push(format!(
-                "    \"{}_t{}_skel_speedup\": {:.4}",
-                r.label,
-                r.threads,
-                blas2.t_skel_s / r.t_skel_s
-            ));
-            lines.push(format!(
-                "    \"{}_t{}_setup_speedup\": {:.4}",
-                r.label,
-                r.threads,
-                (blas2.t_tree_s + blas2.t_knn_s + blas2.t_skel_s)
-                    / (r.t_tree_s + r.t_knn_s + r.t_skel_s)
-            ));
-        }
-        lines.push(format!(
-            "    \"{}_t{}_knn_speedup\": {:.4}",
-            r.label,
-            r.threads,
-            r.t_knn_scalar_s / r.t_knn_s
-        ));
         lines.push(format!(
             "    \"{}_t{}_batch16_solve_amortization\": {:.4}",
             r.label,

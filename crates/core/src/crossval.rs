@@ -7,7 +7,7 @@
 //! *shared* skeletons — exactly what [`lambda_sweep`] does. One-vs-all
 //! multi-class training rides the multi-RHS solve.
 
-use crate::assemble::{assemble_blocks, refactor_enabled};
+use crate::assemble::assemble_blocks;
 use crate::config::SolverConfig;
 use crate::error::SolverError;
 use crate::factor::{factorize, factorize_with_blocks, FactorTree};
@@ -45,11 +45,10 @@ pub struct LambdaSweepEntry {
 /// permuted order; an optional `(points, labels)` validation pair adds a
 /// held-out accuracy column (treecode prediction with `theta = 0.5`).
 ///
-/// With λ-sweep refactorization active (the default; `KFDS_REFACTOR=off`
-/// disables), the kernel blocks are assembled **once** and every λ pays
-/// only linear algebra ([`factorize_with_blocks`], which pins the stored
-/// `V`-block scheme). With it off, every λ runs a full [`factorize`]
-/// under `base`'s storage mode — the legacy path, reproduced bitwise.
+/// The kernel blocks are assembled **once** and every λ pays only linear
+/// algebra ([`factorize_with_blocks`], which pins the stored `V`-block
+/// scheme), bitwise a fresh [`factorize`] under
+/// [`crate::StorageMode::StoredGemv`] at each λ.
 ///
 /// λ values whose factorization fails outright are reported with
 /// `residual = NaN`, `unstable = true`, and `failed = true` rather than
@@ -62,33 +61,15 @@ pub fn lambda_sweep<K: Kernel>(
     y: &[f64],
     validation: Option<(&PointSet, &[f64])>,
 ) -> Vec<LambdaSweepEntry> {
-    lambda_sweep_impl(st, kernel, base, lambdas, y, validation, refactor_enabled())
-}
-
-/// The sweep body, parameterized over the refactorization toggle so the
-/// A/B property tests can exercise both paths deterministically without
-/// racing on the process-global switch.
-pub(crate) fn lambda_sweep_impl<K: Kernel>(
-    st: &SkeletonTree,
-    kernel: &K,
-    base: SolverConfig,
-    lambdas: &[f64],
-    y: &[f64],
-    validation: Option<(&PointSet, &[f64])>,
-    use_refactor: bool,
-) -> Vec<LambdaSweepEntry> {
     let n = st.tree().points().len();
     assert_eq!(y.len(), n, "label length mismatch");
-    // One assembly amortized across the whole λ grid (refactor path).
-    let blocks = use_refactor.then(|| Arc::new(assemble_blocks(st, kernel)));
+    // One assembly amortized across the whole λ grid.
+    let blocks = Arc::new(assemble_blocks(st, kernel));
     let mut out = Vec::with_capacity(lambdas.len());
     for &lambda in lambdas {
         let cfg = base.with_lambda(lambda);
         let t0 = Instant::now();
-        let result = match &blocks {
-            Some(b) => factorize_with_blocks(st, kernel, Arc::clone(b), cfg),
-            None => factorize(st, kernel, cfg),
-        };
+        let result = factorize_with_blocks(st, kernel, Arc::clone(&blocks), cfg);
         let factor_seconds = t0.elapsed().as_secs_f64();
         match result {
             Ok(ft) => out.push(sweep_entry(st, kernel, &ft, lambda, factor_seconds, y, validation)),
@@ -106,7 +87,7 @@ pub(crate) fn lambda_sweep_impl<K: Kernel>(
 }
 
 /// Solves + scores one completed factorization of the sweep.
-fn sweep_entry<K: Kernel>(
+pub(crate) fn sweep_entry<K: Kernel>(
     st: &SkeletonTree,
     kernel: &K,
     ft: &FactorTree<'_, K>,

@@ -13,7 +13,7 @@
 //!
 //! an `O(N log N)` determinant that normally costs `O(N³)`.
 
-use crate::assemble::{assemble_blocks, refactor_enabled};
+use crate::assemble::assemble_blocks;
 use crate::error::SolverError;
 use crate::factor::{factorize, factorize_with_blocks, FactorTree, LeafFactor};
 use kfds_askit::{SkeletonTree, TreecodeEvaluator};
@@ -119,13 +119,10 @@ impl<'a, K: Kernel> GaussianProcess<'a, K> {
     /// the fit maximizing the log marginal likelihood, plus the full
     /// sweep curve — the GP model-selection loop the paper motivates.
     ///
-    /// With λ-sweep refactorization active (the default;
-    /// `KFDS_REFACTOR=off` disables), the kernel blocks are assembled
-    /// once and every grid point pays only linear algebra; with it off,
-    /// every grid point runs a full [`factorize`] (the legacy path).
-    /// Grid points whose factorization fails are recorded in the curve
-    /// (`failed = true`, with honest elapsed seconds) and skipped for
-    /// model selection.
+    /// The kernel blocks are assembled once and every grid point pays only
+    /// linear algebra ([`factorize_with_blocks`]). Grid points whose
+    /// factorization fails are recorded in the curve (`failed = true`,
+    /// with honest elapsed seconds) and skipped for model selection.
     ///
     /// # Errors
     /// [`SolverError`] of the *last* failure when every grid point fails.
@@ -139,34 +136,19 @@ impl<'a, K: Kernel> GaussianProcess<'a, K> {
         noise_grid: &[f64],
         y: &[f64],
     ) -> Result<(Self, Vec<NoiseSweepEntry>), SolverError> {
-        Self::fit_best_noise_impl(st, kernel, noise_grid, y, refactor_enabled())
-    }
-
-    /// The sweep body, parameterized over the refactorization toggle so
-    /// A/B tests can pin either path without racing on the global switch.
-    pub(crate) fn fit_best_noise_impl(
-        st: &'a SkeletonTree,
-        kernel: &'a K,
-        noise_grid: &[f64],
-        y: &[f64],
-        use_refactor: bool,
-    ) -> Result<(Self, Vec<NoiseSweepEntry>), SolverError> {
         assert!(!noise_grid.is_empty(), "noise grid must be non-empty");
         assert!(noise_grid.iter().all(|&s| s > 0.0), "noise variances must be positive");
         assert_eq!(y.len(), st.tree().points().len(), "label length mismatch");
         // One assembly amortized across the whole noise grid.
-        let blocks = use_refactor.then(|| Arc::new(assemble_blocks(st, kernel)));
+        let blocks = Arc::new(assemble_blocks(st, kernel));
         let mut curve = Vec::with_capacity(noise_grid.len());
         let mut best: Option<Self> = None;
         let mut last_err = None;
         for &noise2 in noise_grid {
             let cfg = crate::SolverConfig::default().with_lambda(noise2);
             let t0 = Instant::now();
-            let fitted = match &blocks {
-                Some(b) => factorize_with_blocks(st, kernel, Arc::clone(b), cfg),
-                None => factorize(st, kernel, cfg),
-            }
-            .and_then(|ft| Self::from_factor_tree(ft, noise2, y));
+            let fitted = factorize_with_blocks(st, kernel, Arc::clone(&blocks), cfg)
+                .and_then(|ft| Self::from_factor_tree(ft, noise2, y));
             let factor_seconds = t0.elapsed().as_secs_f64();
             match fitted {
                 Ok(gp) => {

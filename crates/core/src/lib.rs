@@ -39,12 +39,8 @@ pub mod regression;
 pub mod share;
 pub mod solve;
 pub mod stability;
-pub mod taskparallel;
 
-pub use assemble::{
-    assemble_blocks, refactor_enabled, set_refactor_enabled, AssembleStats, AssembledBlocks,
-    NodeBlocks,
-};
+pub use assemble::{assemble_blocks, AssembleStats, AssembledBlocks, NodeBlocks};
 pub use baseline::factorize_baseline;
 pub use config::{FactorStats, LeafFactorization, LevelStats, SolverConfig, StorageMode, WStorage};
 pub use crossval::{
@@ -61,7 +57,16 @@ pub use precond::{solve_exact_preconditioned, FactorPreconditioner};
 pub use regression::{KernelRidge, TrainReport};
 pub use share::{SharedFactor, SharedSetup};
 pub use stability::{estimate_condition, estimate_sigma1, ConditionEstimate};
-pub use taskparallel::factorize_taskparallel;
+
+/// Compatibility no-op kept for `perfbench`, its only caller.
+#[doc(hidden)]
+pub fn set_refactor_enabled(_on: bool) {}
+
+/// Compatibility item kept for `perfbench`, its only caller.
+#[doc(hidden)]
+pub fn refactor_enabled() -> bool {
+    true
+}
 
 #[cfg(test)]
 mod tests;

@@ -13,7 +13,7 @@
 //! borrow lifetime (sound because `FactorTree` is covariant in its
 //! lifetime parameter).
 
-use crate::assemble::{assemble_blocks, refactor_enabled, AssembledBlocks};
+use crate::assemble::{assemble_blocks, AssembledBlocks};
 use crate::config::SolverConfig;
 use crate::error::SolverError;
 use crate::factor::{factorize, factorize_with_blocks, FactorTree};
@@ -120,9 +120,7 @@ impl<K: Kernel + 'static> SharedFactor<K> {
 
     /// Factorizes at a new λ from a [`SharedSetup`], reusing its
     /// assembled kernel blocks so only linear algebra runs (the λ-sweep
-    /// refactorization path; pins the stored `V`-block scheme). With
-    /// `KFDS_REFACTOR=off` this falls back to a full [`factorize`] under
-    /// `config`'s own storage mode — the legacy path, reproduced bitwise.
+    /// refactorization path; pins the stored `V`-block scheme).
     ///
     /// # Errors
     /// Propagates [`SolverError`] from the factorization.
@@ -137,11 +135,7 @@ impl<K: Kernel + 'static> SharedFactor<K> {
         let st_ref: &'static SkeletonTree = unsafe { &*Arc::as_ptr(&st) };
         // SAFETY: identical argument for the kernel Arc.
         let k_ref: &'static K = unsafe { &*Arc::as_ptr(&kernel) };
-        let ft = if refactor_enabled() {
-            factorize_with_blocks(st_ref, k_ref, Arc::clone(&setup.blocks), config)?
-        } else {
-            factorize(st_ref, k_ref, config)?
-        };
+        let ft = factorize_with_blocks(st_ref, k_ref, Arc::clone(&setup.blocks), config)?;
         Ok(SharedFactor { inner: Arc::new(SharedInner { ft, _st: st, _kernel: kernel }) })
     }
 

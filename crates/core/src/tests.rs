@@ -783,7 +783,7 @@ mod refactor {
     }
 
     #[test]
-    fn lambda_sweep_refactor_matches_legacy_bitwise() {
+    fn lambda_sweep_matches_fresh_factorize_bitwise() {
         let (pts, labels) = two_class_annulus(400, 3, 77);
         let train = pts.select(&(0..320).collect::<Vec<_>>());
         let valid = pts.select(&(320..400).collect::<Vec<_>>());
@@ -795,47 +795,38 @@ mod refactor {
             SkelConfig::default().with_tol(1e-6).with_max_rank(96).with_neighbors(8),
         );
         let y_perm = st.tree().permute_vec(&labels[..320]);
-        // A StoredGemv + Cholesky base makes both paths take identical
-        // code per λ, and the negative λ fails on both.
+        // A StoredGemv + Cholesky base makes the sweep and a fresh
+        // per-λ factorize take identical code, and the negative λ fails on
+        // both.
         let base = SolverConfig::default()
             .with_storage(StorageMode::StoredGemv)
             .with_leaf(LeafFactorization::Cholesky);
         let lambdas = [10.0, 0.1, -1e3, 1e-3];
-        let on = crate::crossval::lambda_sweep_impl(
-            &st,
-            &kernel,
-            base,
-            &lambdas,
-            &y_perm,
-            Some((&valid, &labels[320..])),
-            true,
-        );
-        let off = crate::crossval::lambda_sweep_impl(
-            &st,
-            &kernel,
-            base,
-            &lambdas,
-            &y_perm,
-            Some((&valid, &labels[320..])),
-            false,
-        );
-        assert_eq!(on.len(), off.len());
-        for (a, b) in on.iter().zip(&off) {
-            assert_eq!(a.lambda, b.lambda);
-            assert_eq!(a.failed, b.failed, "lambda {}", a.lambda);
-            assert_eq!(a.unstable, b.unstable, "lambda {}", a.lambda);
-            assert_eq!(
-                a.residual.to_bits(),
-                b.residual.to_bits(),
-                "lambda {}: refactor-path residual must be bitwise legacy",
-                a.lambda
-            );
-            assert_eq!(
-                a.accuracy.map(f64::to_bits),
-                b.accuracy.map(f64::to_bits),
-                "lambda {}",
-                a.lambda
-            );
+        let validation = Some((&valid, &labels[320..]));
+        let on = crate::lambda_sweep(&st, &kernel, base, &lambdas, &y_perm, validation);
+        assert_eq!(on.len(), lambdas.len());
+        for (a, &lambda) in on.iter().zip(&lambdas) {
+            assert_eq!(a.lambda, lambda);
+            match factorize(&st, &kernel, base.with_lambda(lambda)) {
+                Err(_) => assert!(a.failed, "lambda {lambda}: fresh factorize failed"),
+                Ok(ft) => {
+                    let b = crate::crossval::sweep_entry(
+                        &st, &kernel, &ft, lambda, 0.0, &y_perm, validation,
+                    );
+                    assert!(!a.failed, "lambda {lambda}");
+                    assert_eq!(a.unstable, b.unstable, "lambda {lambda}");
+                    assert_eq!(
+                        a.residual.to_bits(),
+                        b.residual.to_bits(),
+                        "lambda {lambda}: sweep residual must be bitwise a fresh factorize"
+                    );
+                    assert_eq!(
+                        a.accuracy.map(f64::to_bits),
+                        b.accuracy.map(f64::to_bits),
+                        "lambda {lambda}"
+                    );
+                }
+            }
         }
         // The failed entry reports honest timing and the distinct marker.
         let failed: Vec<_> = on.iter().filter(|e| e.failed).collect();
@@ -910,22 +901,21 @@ mod refactor {
         let y: Vec<f64> = (0..256).map(|i| (i as f64 * 0.05).sin()).collect();
         let grid = [1e-3, 0.05, 0.5, 5.0];
         let (gp_on, curve_on) =
-            GaussianProcess::fit_best_noise_impl(&st, &kernel, &grid, &y, true).expect("on");
-        let (gp_off, curve_off) =
-            GaussianProcess::fit_best_noise_impl(&st, &kernel, &grid, &y, false).expect("off");
+            GaussianProcess::fit_best_noise(&st, &kernel, &grid, &y).expect("sweep");
         assert_eq!(curve_on.len(), 4);
         assert!(curve_on.iter().all(|e| !e.failed && e.factor_seconds > 0.0));
-        // Both paths pick the same model; LMLs agree to storage-mode
-        // reassociation tolerance (off runs the Gsks default).
-        assert_eq!(gp_on.noise_variance(), gp_off.noise_variance());
-        for (a, b) in curve_on.iter().zip(&curve_off) {
-            let scale = b.log_marginal.abs().max(1.0);
+        // Every grid point matches a fresh per-noise fit; LMLs agree to
+        // storage-mode reassociation tolerance (`fit` runs the Gsks
+        // default).
+        for a in &curve_on {
+            let fresh = GaussianProcess::fit(&st, &kernel, a.noise2, &y).expect("fresh fit");
+            let b = fresh.log_marginal_likelihood();
+            let scale = b.abs().max(1.0);
             assert!(
-                (a.log_marginal - b.log_marginal).abs() < 1e-6 * scale,
-                "noise {}: {} vs {}",
+                (a.log_marginal - b).abs() < 1e-6 * scale,
+                "noise {}: {} vs {b}",
                 a.noise2,
-                a.log_marginal,
-                b.log_marginal
+                a.log_marginal
             );
         }
         // The selected noise maximizes the curve.

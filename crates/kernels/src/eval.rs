@@ -7,41 +7,14 @@
 //! By default the inner-product pass is one packed rank-`d` GEMM over
 //! gathered coordinate panels (`G = Xr^T Xc`, through the SIMD microkernel
 //! path) followed by the batched [`Kernel::eval_parts_many`] epilogue —
-//! the same pipeline as [`crate::reference::kernel_block_gemm`].
-//! `KFDS_EVAL_GEMM=off` (or `0`) falls back to the original per-entry
-//! scalar `dot` loop, which reproduces the historical numerics bitwise
-//! (same kill-switch convention as `KFDS_SIMD`/`KFDS_WS_POOL`).
+//! the same pipeline as [`crate::reference::kernel_block_gemm`]. The tests
+//! check every block against the pointwise [`Kernel::eval`] oracle.
 
 use crate::function::Kernel;
 use kfds_la::blas1::dot;
 use kfds_la::{gemm, workspace, Mat, MatRef, Trans};
 use kfds_tree::PointSet;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
-
-static GEMM_EVAL: AtomicBool = AtomicBool::new(true);
-static ENV_INIT: Once = Once::new();
-
-/// Whether block assembly routes through the packed GEMM pipeline
-/// (env `KFDS_EVAL_GEMM` + runtime override).
-#[inline]
-pub fn gemm_eval_active() -> bool {
-    ENV_INIT.call_once(|| {
-        if kfds_switches::KFDS_EVAL_GEMM.is_off() {
-            GEMM_EVAL.store(false, Ordering::Relaxed);
-        }
-    });
-    GEMM_EVAL.load(Ordering::Relaxed)
-}
-
-/// Enables or disables the GEMM assembly path at runtime (overrides
-/// `KFDS_EVAL_GEMM`), so the perf harness can A/B both paths in one
-/// process.
-pub fn set_gemm_eval_enabled(on: bool) {
-    let _ = gemm_eval_active(); // apply the env default first
-    GEMM_EVAL.store(on, Ordering::Relaxed);
-}
 
 /// Evaluates the kernel block `K[rows, cols]` between index lists into the
 /// same point set.
@@ -49,9 +22,6 @@ pub fn set_gemm_eval_enabled(on: bool) {
 /// The result is backed by pooled storage; hot-path callers that drop the
 /// block should hand it back with [`workspace::recycle_mat`].
 pub fn eval_block(kernel: &dyn Kernel, pts: &PointSet, rows: &[usize], cols: &[usize]) -> Mat {
-    if !gemm_eval_active() {
-        return eval_block_scalar(kernel, pts, rows, cols);
-    }
     if rows.is_empty() || cols.is_empty() {
         return Mat::zeros(rows.len(), cols.len());
     }
@@ -72,27 +42,6 @@ pub fn eval_block_range(
     range: std::ops::Range<usize>,
 ) -> Mat {
     let n = range.len();
-    if !gemm_eval_active() {
-        // Scalar fallback: stream the range directly (bitwise identical to
-        // the historical collect-then-eval_block path).
-        let m = rows.len();
-        let mut out = Mat::zeros(m, n);
-        if m == 0 || n == 0 {
-            return out;
-        }
-        let row_norms: Vec<f64> = rows.iter().map(|&i| sq_norm(pts.point(i))).collect();
-        let start = range.start;
-        let data = out.as_mut_slice();
-        data.par_chunks_mut(m).enumerate().for_each(|(j, col)| {
-            let y = pts.point(start + j);
-            let ny = sq_norm(y);
-            for (i, out_ij) in col.iter_mut().enumerate() {
-                *out_ij = dot(pts.point(rows[i]), y);
-            }
-            kernel.eval_parts_many(col, &row_norms, &[ny]);
-        });
-        return out;
-    }
     if rows.is_empty() || n == 0 {
         return Mat::zeros(rows.len(), n);
     }
@@ -227,11 +176,6 @@ fn eval_spec_inline(kernel: &dyn Kernel, pts: &PointSet, spec: &BlockSpec<'_>) -
 /// columns are independent), since the group launch already occupies the
 /// thread pool.
 fn eval_spec_grouped(kernel: &dyn Kernel, pts: &PointSet, spec: &BlockSpec<'_>) -> Mat {
-    if !gemm_eval_active() {
-        // Scalar reference path: reuse the per-node functions unchanged
-        // (their inner parallelism nests harmlessly under rayon).
-        return eval_spec_inline(kernel, pts, spec);
-    }
     match spec {
         BlockSpec::Symmetric { range } => eval_symmetric(kernel, pts, range.clone()),
         BlockSpec::RowsByRange { rows, range } => {
@@ -287,29 +231,6 @@ fn eval_block_gemm_serial(
     out
 }
 
-/// Original per-entry assembly, kept verbatim for `KFDS_EVAL_GEMM=off`.
-fn eval_block_scalar(kernel: &dyn Kernel, pts: &PointSet, rows: &[usize], cols: &[usize]) -> Mat {
-    let m = rows.len();
-    let n = cols.len();
-    let mut out = Mat::zeros(m, n);
-    if m == 0 || n == 0 {
-        return out;
-    }
-    let row_norms: Vec<f64> = rows.iter().map(|&i| sq_norm(pts.point(i))).collect();
-    let data = out.as_mut_slice();
-    data.par_chunks_mut(m).enumerate().for_each(|(j, col)| {
-        let y = pts.point(cols[j]);
-        let ny = sq_norm(y);
-        for (i, out_ij) in col.iter_mut().enumerate() {
-            *out_ij = dot(pts.point(rows[i]), y);
-        }
-        // Column = an m x 1 row-major tile; batches the kernel transform
-        // (one vexp per column for Gaussian/Laplacian).
-        kernel.eval_parts_many(col, &row_norms, &[ny]);
-    });
-    out
-}
-
 /// Evaluates the full symmetric kernel matrix `K[range, range]` (used for
 /// leaf diagonal blocks and dense cross-checks).
 ///
@@ -320,20 +241,6 @@ fn eval_block_scalar(kernel: &dyn Kernel, pts: &PointSet, rows: &[usize], cols: 
 /// triangle so the result is exactly symmetric.
 pub fn eval_symmetric(kernel: &dyn Kernel, pts: &PointSet, range: std::ops::Range<usize>) -> Mat {
     let n = range.len();
-    if !gemm_eval_active() {
-        let idx: Vec<usize> = range.collect();
-        let norms: Vec<f64> = idx.iter().map(|&i| sq_norm(pts.point(i))).collect();
-        let mut out = Mat::zeros(n, n);
-        for j in 0..n {
-            let y = pts.point(idx[j]);
-            for i in 0..=j {
-                let v = kernel.eval_parts(dot(pts.point(idx[i]), y), norms[i], norms[j]);
-                out[(i, j)] = v;
-                out[(j, i)] = v;
-            }
-        }
-        return out;
-    }
     // Output is plainly allocated (not pooled): leaf diagonal blocks are
     // consumed into long-lived factors, so pooling them would only drain
     // the pool.
@@ -415,8 +322,13 @@ mod tests {
         }
     }
 
+    /// Pointwise oracle: `K[rows, cols]` one [`Kernel::eval`] per entry.
+    fn pointwise_block(k: &dyn Kernel, p: &PointSet, rows: &[usize], cols: &[usize]) -> Mat {
+        Mat::from_fn(rows.len(), cols.len(), |i, j| k.eval(p.point(rows[i]), p.point(cols[j])))
+    }
+
     #[test]
-    fn gemm_path_matches_scalar_path() {
+    fn gemm_path_matches_pointwise_eval() {
         // Larger panel in a higher dimension so the GEMM actually tiles.
         let d = 6;
         let n = 40;
@@ -436,7 +348,7 @@ mod tests {
         ];
         for (k, tol) in &kernels {
             let a = eval_block(k.as_ref(), &p, &rows, &cols);
-            let b = eval_block_scalar(k.as_ref(), &p, &rows, &cols);
+            let b = pointwise_block(k.as_ref(), &p, &rows, &cols);
             for j in 0..cols.len() {
                 for i in 0..rows.len() {
                     assert!(
@@ -448,21 +360,19 @@ mod tests {
                 }
             }
             let sg = eval_symmetric(k.as_ref(), &p, 4..n - 3);
+            let range: Vec<usize> = (4..n - 3).collect();
+            let sw = pointwise_block(k.as_ref(), &p, &range, &range);
             for j in 0..sg.ncols() {
                 for i in 0..sg.nrows() {
                     assert_eq!(sg[(i, j)], sg[(j, i)], "asymmetric at ({i},{j})");
+                    assert!((sg[(i, j)] - sw[(i, j)]).abs() <= *tol, "symmetric ({i},{j})");
                 }
             }
         }
     }
 
-    /// Serializes tests that read or flip the process-wide GEMM-eval
-    /// toggle so a concurrent flip cannot change the mode mid-comparison.
-    static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn batched_blocks_match_per_node_bitwise() {
-        let _guard = MODE_LOCK.lock().unwrap();
         let d = 4;
         let n = 36;
         let data: Vec<f64> = (0..d * n).map(|i| (i as f64 * 0.29).sin()).collect();
@@ -496,31 +406,6 @@ mod tests {
         for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
             assert_eq!((g.nrows(), g.ncols()), (w.nrows(), w.ncols()), "block {i}");
             assert_eq!(g.as_slice(), w.as_slice(), "block {i} not bitwise equal");
-        }
-    }
-
-    #[test]
-    fn batched_blocks_match_scalar_mode() {
-        let _guard = MODE_LOCK.lock().unwrap();
-        let p = pts();
-        let k = Laplacian::new(0.9);
-        let rows = [0usize, 2, 5, 7];
-        let prev = gemm_eval_active();
-        set_gemm_eval_enabled(false);
-        let specs = vec![
-            BlockSpec::RowsByRange { rows: &rows, range: 1..6 },
-            BlockSpec::RowsByRange { rows: &rows, range: 3..8 },
-            BlockSpec::Symmetric { range: 2..9 },
-        ];
-        let (got, _) = eval_blocks(&k, &p, &specs);
-        let want = [
-            eval_block_range(&k, &p, &rows, 1..6),
-            eval_block_range(&k, &p, &rows, 3..8),
-            eval_symmetric(&k, &p, 2..9),
-        ];
-        set_gemm_eval_enabled(prev);
-        for (g, w) in got.iter().zip(want.iter()) {
-            assert_eq!(g.as_slice(), w.as_slice());
         }
     }
 

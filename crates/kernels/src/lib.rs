@@ -22,10 +22,17 @@ pub mod function;
 pub mod gsks;
 pub mod reference;
 
-pub use eval::{
-    eval_block, eval_block_range, eval_blocks, eval_symmetric, gemm_eval_active,
-    set_gemm_eval_enabled, BlockSpec,
-};
+pub use eval::{eval_block, eval_block_range, eval_blocks, eval_symmetric, BlockSpec};
 pub use function::{Gaussian, Kernel, Laplacian, Matern32, Polynomial};
 pub use gsks::{sum_fused, sum_fused_multi};
 pub use reference::{gather_coords, kernel_block_gemm, sum_reference, sum_reference_multi};
+
+/// Compatibility no-op kept for `perfbench`, its only caller.
+#[doc(hidden)]
+pub fn set_gemm_eval_enabled(_on: bool) {}
+
+/// Compatibility item kept for `perfbench`, its only caller.
+#[doc(hidden)]
+pub fn gemm_eval_active() -> bool {
+    true
+}

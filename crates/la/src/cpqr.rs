@@ -6,19 +6,18 @@
 //! estimated by the diagonal of the rank-revealing QR (§II-A). This module
 //! implements exactly that truncation rule.
 //!
-//! Two execution paths share the truncation and pivoting rules:
+//! Two execution paths share the truncation and pivoting rules, selected
+//! by the truncation bound `min(m, n, max_rank)`:
 //!
-//! * **Blocked** (default, LAPACK `DLAQPS`-style): pivoted panels of
-//!   [`NB`] columns accumulate their reflectors' action in an auxiliary
-//!   matrix `F = tau * A^T V`, so the trailing matrix is only *read*
-//!   during the panel (one GEMV per step) and *written* once per panel by
-//!   a single rank-`nb` GEMM through the SIMD microkernel path. Pivot
-//!   columns and pivot rows are updated just-in-time, so pivot decisions
-//!   and the stored `R` match the unblocked elimination order.
-//! * **Unblocked** (BLAS-2, one reflector applied at a time) — the
-//!   original implementation, kept verbatim and selectable at runtime
-//!   with `KFDS_CPQR=unblocked` (same kill-switch convention as
-//!   `KFDS_SIMD`/`KFDS_WS_POOL`) for bitwise-reproducible numerics.
+//! * **Blocked** (at or above `BLOCK_MIN`, LAPACK `DLAQPS`-style): pivoted
+//!   panels of [`NB`] columns accumulate their reflectors' action in an
+//!   auxiliary matrix `F = tau * A^T V`, so the trailing matrix is only
+//!   *read* during the panel (one GEMV per step) and *written* once per
+//!   panel by a single rank-`nb` GEMM through the SIMD microkernel path.
+//!   Pivot columns and pivot rows are updated just-in-time, so pivot
+//!   decisions and the stored `R` match the unblocked elimination order.
+//! * **Unblocked** (below `BLOCK_MIN`, BLAS-2, one reflector applied at a
+//!   time): on small factorizations the panel machinery is pure overhead.
 
 use crate::blas1::nrm2;
 use crate::blas2::{gemv, gemv_t};
@@ -26,8 +25,6 @@ use crate::gemm::{gemm, Trans};
 use crate::mat::{Mat, MatMut, MatRef};
 use crate::qr::{apply_householder_left, make_householder};
 use crate::workspace;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Once;
 
 /// Panel width of the blocked path (LAPACK-style `nb`).
 pub const NB: usize = 32;
@@ -36,38 +33,14 @@ pub const NB: usize = 32;
 /// is pure overhead.
 const BLOCK_MIN: usize = 48;
 
-/// Runtime kill-switch: `KFDS_CPQR=unblocked` (or `off`/`0`) forces the
-/// original one-reflector-at-a-time path, which reproduces the pre-blocked
-/// numerics bitwise.
-static CPQR_BLOCKED: AtomicBool = AtomicBool::new(true);
-static ENV_INIT: Once = Once::new();
+/// Compatibility no-op kept for `perfbench`, its only caller.
+#[doc(hidden)]
+pub fn set_cpqr_blocked(_on: bool) {}
 
-/// Process-global count of factorizations that ran the blocked panel path
-/// (used by the perf harness `--check` gate to detect silent fallbacks).
-static BLOCKED_FACTORS: AtomicU64 = AtomicU64::new(0);
-
-/// Whether the blocked panel path is selected (env + runtime override).
-/// Small factorizations still use the unblocked loop regardless.
-#[inline]
+/// Compatibility item kept for `perfbench`, its only caller.
+#[doc(hidden)]
 pub fn blocked_active() -> bool {
-    ENV_INIT.call_once(|| {
-        if kfds_switches::KFDS_CPQR.is_off() {
-            CPQR_BLOCKED.store(false, Ordering::Relaxed);
-        }
-    });
-    CPQR_BLOCKED.load(Ordering::Relaxed)
-}
-
-/// Enables or disables the blocked path at runtime (overrides `KFDS_CPQR`),
-/// so the perf-trajectory harness can A/B both paths in one process.
-pub fn set_cpqr_blocked(on: bool) {
-    let _ = blocked_active(); // apply the env default first so it cannot clobber us
-    CPQR_BLOCKED.store(on, Ordering::Relaxed);
-}
-
-/// Number of factorizations that took the blocked panel path so far.
-pub fn blocked_factor_count() -> u64 {
-    BLOCKED_FACTORS.load(Ordering::Relaxed)
+    true
 }
 
 /// A truncated column-pivoted QR factorization `A P = Q R`.
@@ -95,18 +68,16 @@ impl ColPivQr {
     /// tolerance-based truncation.
     pub fn factor_truncated(a: Mat, tol: f64, max_rank: usize) -> Self {
         let kmax = a.nrows().min(a.ncols()).min(max_rank);
-        if blocked_active() && kmax >= BLOCK_MIN {
+        if kmax >= BLOCK_MIN {
             Self::factor_truncated_blocked(a, tol, max_rank)
         } else {
             Self::factor_truncated_unblocked(a, tol, max_rank)
         }
     }
 
-    /// BLAS-2 reference path: one Householder reflector applied to the
-    /// full trailing matrix per pivot step. This is the original
-    /// implementation, preserved verbatim so `KFDS_CPQR=unblocked`
-    /// reproduces historical numerics bitwise.
-    pub fn factor_truncated_unblocked(mut a: Mat, tol: f64, max_rank: usize) -> Self {
+    /// The path below `BLOCK_MIN`: one Householder reflector applied to
+    /// the full trailing matrix per pivot step (BLAS-2).
+    fn factor_truncated_unblocked(mut a: Mat, tol: f64, max_rank: usize) -> Self {
         let m = a.nrows();
         let n = a.ncols();
         let kmax = m.min(n).min(max_rank);
@@ -184,8 +155,7 @@ impl ColPivQr {
     /// untrustworthy ends the panel early and is recomputed *after* the
     /// deferred trailing update (its below-panel rows are stale until
     /// then), exactly as `DLAQPS` does with its `lsticc` mechanism.
-    pub fn factor_truncated_blocked(mut a: Mat, tol: f64, max_rank: usize) -> Self {
-        BLOCKED_FACTORS.fetch_add(1, Ordering::Relaxed);
+    fn factor_truncated_blocked(mut a: Mat, tol: f64, max_rank: usize) -> Self {
         let m = a.nrows();
         let n = a.ncols();
         let kmax = m.min(n).min(max_rank);
@@ -653,16 +623,26 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_threshold_and_counter() {
-        let before = blocked_factor_count();
-        // Large enough factorization goes blocked by default.
-        let _ = ColPivQr::factor_truncated(rand_mat(64, 64, 61), 0.0, usize::MAX);
-        if blocked_active() {
-            assert!(blocked_factor_count() > before, "blocked path not taken");
+    fn dispatch_threshold_selects_path_by_size() {
+        fn same(x: &ColPivQr, y: &ColPivQr) -> bool {
+            x.perm() == y.perm()
+                && x.rdiag() == y.rdiag()
+                && x.tau() == y.tau()
+                && x.qr.as_slice() == y.qr.as_slice()
         }
-        // Tiny factorization stays on the BLAS-2 loop.
-        let mid = blocked_factor_count();
-        let _ = ColPivQr::factor_truncated(rand_mat(10, 10, 62), 0.0, usize::MAX);
-        assert_eq!(blocked_factor_count(), mid);
+        // At the threshold the blocked path runs; below it the BLAS-2 loop.
+        let cases = [
+            (rand_mat(BLOCK_MIN, BLOCK_MIN, 61), usize::MAX, true),
+            (rand_mat(64, 64, 62), BLOCK_MIN - 1, false),
+        ];
+        for (a, max_rank, blocked) in cases {
+            let f = ColPivQr::factor_truncated(a.clone(), 0.0, max_rank);
+            let fb = ColPivQr::factor_truncated_blocked(a.clone(), 0.0, max_rank);
+            let fu = ColPivQr::factor_truncated_unblocked(a, 0.0, max_rank);
+            // The paths round differently here, so a bitwise match names
+            // the path taken.
+            assert!(!same(&fb, &fu));
+            assert!(same(&f, if blocked { &fb } else { &fu }), "blocked={blocked}");
+        }
     }
 }

@@ -20,9 +20,8 @@
 //!   `"lock-rank inversion"` on violation (exercised by the loom and
 //!   TSan lanes). Release builds compile the checker out entirely.
 //!
-//! The wrappers are poison-recovering (like the `parking_lot` shim they
-//! replace): a panic while holding a guard does not poison the data for
-//! every later user — the serve tier's `catch_unwind` + quarantine
+//! The wrappers are poison-recovering: a panic while holding a guard does
+//! not poison the data for every later user — the serve tier's `catch_unwind` + quarantine
 //! containment owns panic recovery at a higher level.
 
 use std::sync::{self, PoisonError, WaitTimeoutResult};

@@ -19,9 +19,11 @@
 //! over the in-process transport — bitwise-identical answers, with one
 //! counter lane per shard in the stats JSON. `--smoke` shrinks the
 //! problem and asserts a clean run — zero errors, every request answered,
-//! cache hit rate above zero, **setup built exactly once**, and (sharded)
-//! a bitwise match against the unsharded solve plus per-shard cache
-//! accounting — exiting nonzero otherwise, which is what `ci.sh` runs.
+//! cache hit rate above zero, **setup built exactly once**, no batch
+//! larger than `--max-batch` (`--max-batch 1` serves unbatched), and
+//! (sharded) a bitwise match against the unsharded solve plus per-shard
+//! cache accounting — exiting nonzero otherwise, which is what `ci.sh`
+//! runs.
 
 use kfds_askit::{skeletonize, SkelConfig};
 use kfds_core::{SharedSetup, SolverConfig, StorageMode};
@@ -139,10 +141,6 @@ fn run(args: Args) -> Result<(), String> {
         .with_default_timeout(Duration::from_millis(args.timeout_ms))
         .with_cache_capacity(args.keys.max(2))
         .with_shards(args.shards);
-    // A `--shards P` request still yields a single-node service when the
-    // `KFDS_SHARD` kill-switch is off; the smoke lane accounting below
-    // follows the tier that actually ran.
-    let sharding_active = args.shards > 1 && !kfds_switches::KFDS_SHARD.is_off();
     let base = SolverConfig::default().with_storage(StorageMode::StoredGemv);
     let svc = Arc::new(SolveService::start_two_level(cfg, base, build_setup));
 
@@ -262,11 +260,12 @@ fn run(args: Args) -> Result<(), String> {
             && stats.cache_poisoned == 0
             && stats.setup_builds == 1
             && stats.full_misses == 1
-            && stats.setup_hits == args.keys as u64 - 1;
+            && stats.setup_hits == args.keys as u64 - 1
+            && stats.batch_hist.iter().all(|&(size, _)| size <= args.max_batch);
         // Per-shard accounting: with every factor complete, every batch
         // routes (no fallbacks) and reaches every shard exactly once, and
         // each shard fills its local partition cache once per key.
-        let lanes_ok = if sharding_active {
+        let lanes_ok = if args.shards > 1 {
             stats.shards.len() == args.shards
                 && stats.shard_fallbacks == 0
                 && stats.shards.iter().all(|l| {
@@ -281,8 +280,8 @@ fn run(args: Args) -> Result<(), String> {
         if !ok || !lanes_ok {
             return Err(format!(
                 "SMOKE FAIL: errors={} failed={} answered={}/{} hit_rate={:.3} poisoned={} \
-                 setup_builds={} setup_hits={} full_misses={} shard_lanes={:?} \
-                 shard_fallbacks={}",
+                 setup_builds={} setup_hits={} full_misses={} batch_hist={:?} \
+                 shard_lanes={:?} shard_fallbacks={}",
                 stats.errors,
                 failed.load(Ordering::Relaxed),
                 answered.load(Ordering::Relaxed),
@@ -292,6 +291,7 @@ fn run(args: Args) -> Result<(), String> {
                 stats.setup_builds,
                 stats.setup_hits,
                 stats.full_misses,
+                stats.batch_hist,
                 stats.shards,
                 stats.shard_fallbacks,
             ));

@@ -31,12 +31,12 @@
 //!   ([`kfds_core::PartitionedFactor`]), RHS blocks scatter/gather over
 //!   the `kfds-rt` transport, and the answers are **bitwise-identical**
 //!   to the single-node blocked solve. Per-shard counters surface as
-//!   [`ShardLane`]s in [`ServeStats`]; `KFDS_SHARD=off` restores the
-//!   single-node path exactly.
+//!   [`ShardLane`]s in [`ServeStats`]; `with_shards(1)` (the default)
+//!   serves on the single-node path.
 //!
 //! Runtime: plain OS threads and condvars — no async executor. The
 //! `kfds-serve` binary wraps the service with a closed-loop load
-//! generator; `KFDS_SERVE_BATCH=off` disables coalescing for A/B runs.
+//! generator; `--max-batch 1` serves unbatched.
 
 #![forbid(unsafe_code)]
 
@@ -47,8 +47,16 @@ pub mod stats;
 pub use cache::{CacheError, FactorCache, FactorKey, SetupCache, SetupKey, SingleFlightCache};
 pub use kfds_rt::sync::LockRank;
 pub use kfds_shard::ShardLane;
-pub use service::{set_batching_enabled, set_shard_enabled, ServeConfig, SolveService, Ticket};
+pub use service::{ServeConfig, SolveService, Ticket};
 pub use stats::{Quantiles, ServeStats};
+
+/// Compatibility no-op kept for `perfbench`, its only caller.
+#[doc(hidden)]
+pub fn set_batching_enabled(_on: bool) {}
+
+/// Compatibility no-op kept for `perfbench`, its only caller.
+#[doc(hidden)]
+pub fn set_shard_enabled(_on: bool) {}
 
 /// Errors a request (or the service) can answer with.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -41,64 +41,18 @@ use kfds_rt::sync::{LockRank, RankedCondvar, RankedMutex};
 use kfds_shard::{ShardError, ShardRouter};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Runtime kill-switch for request coalescing: `KFDS_SERVE_BATCH=off`
-/// (or `0`) forces batch size 1, so batched vs unbatched serving can be
-/// A/B-compared without a rebuild (same pattern as `KFDS_WS_POOL` /
-/// `KFDS_SIMD`).
-static BATCH_ENABLED: AtomicBool = AtomicBool::new(true);
-static ENV_INIT: Once = Once::new();
-
-fn batching_enabled() -> bool {
-    ENV_INIT.call_once(|| {
-        if kfds_switches::KFDS_SERVE_BATCH.is_off() {
-            BATCH_ENABLED.store(false, Ordering::Relaxed);
-        }
-    });
-    BATCH_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enables or disables batching at runtime (overrides `KFDS_SERVE_BATCH`).
-pub fn set_batching_enabled(on: bool) {
-    let _ = batching_enabled(); // apply the env default first
-    BATCH_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Runtime kill-switch for the sharded serve tier: `KFDS_SHARD=off` (or
-/// `0`) makes a `sharded(p)` service skip the shard router and run every
-/// batch on the single-node blocked path — bitwise-identical answers (the
-/// router only repartitions the same arithmetic), so the tiers can be
-/// A/B-compared without a rebuild.
-static SHARD_ENABLED: AtomicBool = AtomicBool::new(true);
-static SHARD_ENV_INIT: Once = Once::new();
-
-fn shard_enabled() -> bool {
-    SHARD_ENV_INIT.call_once(|| {
-        if kfds_switches::KFDS_SHARD.is_off() {
-            SHARD_ENABLED.store(false, Ordering::Relaxed);
-        }
-    });
-    SHARD_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enables or disables the shard tier at runtime (overrides `KFDS_SHARD`).
-/// Only consulted at [`SolveService`] construction: a running service
-/// keeps (or keeps lacking) its router.
-pub fn set_shard_enabled(on: bool) {
-    let _ = shard_enabled(); // apply the env default first
-    SHARD_ENABLED.store(on, Ordering::Relaxed);
-}
 
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Batcher worker threads draining the queue.
     pub workers: usize,
-    /// Maximum right-hand sides coalesced into one blocked solve.
+    /// Maximum right-hand sides coalesced into one blocked solve; `1`
+    /// serves every request unbatched.
     pub max_batch: usize,
     /// Queue depth beyond which submissions are rejected with
     /// [`ServeError::Overloaded`].
@@ -116,8 +70,7 @@ pub struct ServeConfig {
     /// single-node blocked path; `p > 1` starts a [`ShardRouter`] that
     /// partitions each complete factorization across `p` rank-owned
     /// subtree shards and scatter/gathers the RHS blocks
-    /// (bitwise-identical answers). Subject to the `KFDS_SHARD`
-    /// kill-switch at service start.
+    /// (bitwise-identical answers).
     pub shards: usize,
 }
 
@@ -274,8 +227,8 @@ struct Shared<K: Kernel + 'static> {
     cache: FactorCache<SharedFactor<K>>,
     mode: BuildMode<K>,
     metrics: Metrics,
-    /// Shard router for `sharded(p)` services (`cfg.shards > 1` with
-    /// `KFDS_SHARD` on at start); `None` serves single-node.
+    /// Shard router for `sharded(p)` services (`cfg.shards > 1`); `None`
+    /// serves single-node.
     shard: Option<ShardRouter<FactorKey, K>>,
 }
 
@@ -327,8 +280,7 @@ impl<K: Kernel + 'static> SolveService<K> {
     }
 
     fn start_with_mode(cfg: ServeConfig, mode: BuildMode<K>) -> Self {
-        let shard = (cfg.shards > 1 && shard_enabled())
-            .then(|| ShardRouter::start(cfg.shards, cfg.cache_capacity));
+        let shard = (cfg.shards > 1).then(|| ShardRouter::start(cfg.shards, cfg.cache_capacity));
         let shared = Arc::new(Shared {
             cache: FactorCache::new(cfg.cache_capacity, LockRank::FactorCache),
             cfg,
@@ -494,7 +446,7 @@ fn worker_loop<K: Kernel + 'static>(sh: &Shared<K>) {
             let (guard, _) = sh.cv.wait_timeout(q, Duration::from_millis(50));
             q = guard;
         };
-        let max_batch = if batching_enabled() { sh.cfg.max_batch.max(1) } else { 1 };
+        let max_batch = sh.cfg.max_batch.max(1);
         let mut batch = vec![head];
         drain_same_key(&mut q, &mut batch, max_batch);
         // Adaptive window: under load (other work still queued — the

@@ -1,16 +1,12 @@
 //! Sharded-service acceptance: a `sharded(p)` service must answer
-//! **bitwise-identically** to the single-node service (the shard tier
-//! only repartitions the same arithmetic), per-shard lanes must account
-//! for every routed batch, and `set_shard_enabled(false)` (the
-//! `KFDS_SHARD=off` path) must restore the exact unsharded service.
-//!
-//! This suite lives in its own test binary because it toggles the
-//! process-global shard switch.
+//! **bitwise-identically** to the single-node `with_shards(1)` service
+//! (the shard tier only repartitions the same arithmetic), and per-shard
+//! lanes must account for every routed batch.
 
 use kfds_askit::{skeletonize, SkelConfig};
 use kfds_core::{SharedFactor, SolverConfig, StorageMode};
 use kfds_kernels::Gaussian;
-use kfds_serve::{set_shard_enabled, FactorKey, ServeConfig, ServeError, SolveService};
+use kfds_serve::{FactorKey, ServeConfig, ServeError, SolveService};
 use kfds_tree::datasets::normal_embedded;
 use kfds_tree::BallTree;
 use std::sync::Arc;
@@ -41,29 +37,24 @@ fn cfg(shards: usize) -> ServeConfig {
     ServeConfig::default().with_workers(1).with_shards(shards).with_linger(Duration::ZERO)
 }
 
-/// One test body (not several `#[test]`s) so the global switch toggles
-/// are strictly ordered.
 #[test]
-fn sharded_service_answers_bitwise_and_the_switch_restores_single_node() {
+fn sharded_service_answers_bitwise_like_the_single_node_service() {
     let n = 512;
     let nreq = 6;
     let key = FactorKey::new("t-shard", n, 1.0, 0.5, 3);
 
-    // Reference: the exact pre-shard single-node service — `shards: 2`
-    // requested but the kill-switch off, which must leave no router.
-    set_shard_enabled(false);
-    let svc = SolveService::start(cfg(2), build_factor);
+    // Reference: the single-node service, which starts no router.
+    let svc = SolveService::start(cfg(1), build_factor);
     let reference: Vec<Vec<f64>> = (0..nreq)
         .map(|r| svc.submit(key.clone(), rhs(n, r)).expect("submit").wait().expect("solve"))
         .collect();
     let stats = svc.shutdown();
-    assert!(stats.shards.is_empty(), "KFDS_SHARD off must leave the service unsharded");
+    assert!(stats.shards.is_empty(), "with_shards(1) must leave the service unsharded");
     assert_eq!(stats.shard_fallbacks, 0);
     assert_eq!(stats.completed, nreq as u64);
 
     // Sharded services at p = 2 and p = 4 must reproduce every byte.
     for p in [2usize, 4] {
-        set_shard_enabled(true);
         let svc = SolveService::start(cfg(p), build_factor);
         for (r, want) in reference.iter().enumerate() {
             let got =
@@ -83,13 +74,4 @@ fn sharded_service_answers_bitwise_and_the_switch_restores_single_node() {
             assert_eq!(lane.rows_solved, stats.batches * (n / p) as u64);
         }
     }
-
-    // Flip back off: the next service is single-node again (runtime
-    // override round-trips).
-    set_shard_enabled(false);
-    let svc = SolveService::start(cfg(2), build_factor);
-    let got = svc.submit(key, rhs(n, 0)).expect("submit").wait().expect("solve");
-    assert_eq!(got, reference[0]);
-    assert!(svc.shutdown().shards.is_empty());
-    set_shard_enabled(true);
 }

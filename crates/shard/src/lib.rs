@@ -19,10 +19,9 @@
 //! local cache, filled by [`SingleFlightCache::peek`] (workers never
 //! build).
 //!
-//! `kfds-serve` mounts this behind the `KFDS_SHARD` registry switch:
-//! `sharded(p)` services route complete factorizations through the
-//! router and fall back to the single-node path (bitwise the same)
-//! when a factor cannot shard or the switch is off.
+//! `kfds-serve` mounts this for `sharded(p)` services (`p > 1`): they
+//! route complete factorizations through the router and fall back to the
+//! single-node path (bitwise the same) when a factor cannot shard.
 
 #![forbid(unsafe_code)]
 

@@ -15,8 +15,10 @@
 //! the fast path being **on**, and are read **once** per process (the
 //! consumer caches the answer behind a `Once`; programmatic overrides like
 //! `kfds_la::simd::set_simd_enabled` exist for benches and A/B tests).
-//! Setting the variable to one of its `off_values` selects the reference
-//! path bitwise.
+//! Setting the variable to one of its `off_values` selects the other path
+//! bitwise. A switch is registered only where both of its paths are
+//! production paths; a reference implementation that only checks another
+//! lives on as a test oracle, not as a switch.
 
 #![forbid(unsafe_code)]
 
@@ -79,69 +81,6 @@ pub const KFDS_WS_POOL: Switch = Switch {
           allocates, reproducing pre-pool allocation behavior bitwise",
 };
 
-/// `KFDS_CPQR`: selects the legacy unblocked column-pivoted QR.
-pub const KFDS_CPQR: Switch = Switch {
-    name: "KFDS_CPQR",
-    default: "blocked",
-    off_values: &["unblocked", "off", "0"],
-    doc: "forces the legacy one-reflector column-pivoted QR instead of the \
-          blocked (`DLAQPS`-style) panel factorization, reproducing \
-          pre-blocking skeletonization numerics **bitwise**",
-};
-
-/// `KFDS_EVAL_GEMM`: kill-switch for GEMM-backed kernel block assembly.
-pub const KFDS_EVAL_GEMM: Switch = Switch {
-    name: "KFDS_EVAL_GEMM",
-    default: "on",
-    off_values: &["off", "0"],
-    doc: "disables GEMM-backed kernel block assembly (`eval_block` / \
-          `eval_symmetric`); blocks are evaluated entry-by-entry on the \
-          scalar path, bitwise-identical to the pre-GEMM code",
-};
-
-/// `KFDS_KNN`: selects the legacy scalar k-nearest-neighbor search.
-pub const KFDS_KNN: Switch = Switch {
-    name: "KFDS_KNN",
-    default: "blocked",
-    off_values: &["scalar", "off", "0"],
-    doc: "forces the legacy scalar kNN paths (per-point ball-tree descent \
-          and per-pair candidate scoring) instead of the blocked \
-          GEMM-tile dual-tree / bucket scoring pipeline, for A/B runs",
-};
-
-/// `KFDS_REFACTOR`: kill-switch for λ-sweep refactorization.
-pub const KFDS_REFACTOR: Switch = Switch {
-    name: "KFDS_REFACTOR",
-    default: "on",
-    off_values: &["off", "0"],
-    doc: "disables λ-sweep refactorization: `lambda_sweep`, the GP noise-grid \
-          fit, and the serve tier's factor stage rebuild every factorization \
-          from scratch per λ (re-evaluating all kernel blocks, the legacy \
-          path) instead of refactoring over cached λ-independent \
-          `AssembledBlocks`",
-};
-
-/// `KFDS_SERVE_BATCH`: kill-switch for multi-RHS request coalescing.
-pub const KFDS_SERVE_BATCH: Switch = Switch {
-    name: "KFDS_SERVE_BATCH",
-    default: "on",
-    off_values: &["off", "0"],
-    doc: "disables `kfds-serve`'s multi-RHS request coalescing; every queued \
-          request dispatches as a batch of 1 (unbatched serving, for A/B \
-          throughput comparisons)",
-};
-
-/// `KFDS_SHARD`: kill-switch for the sharded serve tier.
-pub const KFDS_SHARD: Switch = Switch {
-    name: "KFDS_SHARD",
-    default: "on",
-    off_values: &["off", "0"],
-    doc: "disables the sharded serve tier: `sharded(p)` services skip the \
-          shard router and run every solve on the single-node blocked path \
-          (bitwise-identical answers — the router only repartitions the \
-          same arithmetic)",
-};
-
 /// `KFDS_BATCH`: kill-switch for the level-batched execution engine.
 pub const KFDS_BATCH: Switch = Switch {
     name: "KFDS_BATCH",
@@ -157,17 +96,7 @@ pub const KFDS_BATCH: Switch = Switch {
 /// Every registered switch, in README table order. New switches must be
 /// added here (and nowhere else) — the lint and the README generator both
 /// iterate this array.
-pub const ALL: &[&Switch] = &[
-    &KFDS_SIMD,
-    &KFDS_WS_POOL,
-    &KFDS_CPQR,
-    &KFDS_EVAL_GEMM,
-    &KFDS_KNN,
-    &KFDS_REFACTOR,
-    &KFDS_SERVE_BATCH,
-    &KFDS_SHARD,
-    &KFDS_BATCH,
-];
+pub const ALL: &[&Switch] = &[&KFDS_SIMD, &KFDS_WS_POOL, &KFDS_BATCH];
 
 /// Renders the README runtime-switch table (markdown). The table between
 /// the `<!-- switch-table:begin -->` / `<!-- switch-table:end -->` markers

@@ -6,24 +6,12 @@
 //! by a test" leg for the registry: adding a switch without extending
 //! these tables fails `cargo run -p xtask -- lint`.
 
-use kfds_switches::{
-    Switch, ALL, KFDS_BATCH, KFDS_CPQR, KFDS_EVAL_GEMM, KFDS_KNN, KFDS_REFACTOR, KFDS_SERVE_BATCH,
-    KFDS_SHARD, KFDS_SIMD, KFDS_WS_POOL,
-};
+use kfds_switches::{Switch, ALL, KFDS_BATCH, KFDS_SIMD, KFDS_WS_POOL};
 
 /// Every registered switch, by const and by the literal name it must
 /// sample from the environment.
-const NAMED: &[(&Switch, &str)] = &[
-    (&KFDS_SIMD, "KFDS_SIMD"),
-    (&KFDS_WS_POOL, "KFDS_WS_POOL"),
-    (&KFDS_CPQR, "KFDS_CPQR"),
-    (&KFDS_EVAL_GEMM, "KFDS_EVAL_GEMM"),
-    (&KFDS_KNN, "KFDS_KNN"),
-    (&KFDS_REFACTOR, "KFDS_REFACTOR"),
-    (&KFDS_SERVE_BATCH, "KFDS_SERVE_BATCH"),
-    (&KFDS_SHARD, "KFDS_SHARD"),
-    (&KFDS_BATCH, "KFDS_BATCH"),
-];
+const NAMED: &[(&Switch, &str)] =
+    &[(&KFDS_SIMD, "KFDS_SIMD"), (&KFDS_WS_POOL, "KFDS_WS_POOL"), (&KFDS_BATCH, "KFDS_BATCH")];
 
 #[test]
 fn every_switch_const_matches_its_name_and_is_registered() {

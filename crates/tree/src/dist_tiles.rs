@@ -1,5 +1,5 @@
-//! Blocked squared-distance tiles — the BLAS-3 primitive under both kNN
-//! paths.
+//! Blocked squared-distance tiles — the BLAS-3 primitive under the exact
+//! and the approximate kNN search.
 //!
 //! A pairwise-distance block is a rank-`d` GEMM plus a norms epilogue:
 //! `D[i, j] = ‖x_i‖² + ‖x_j‖² − 2 x_iᵀx_j`, the same norms+Gram identity
@@ -10,11 +10,8 @@
 //! allocation-free on the hot path (this module is on the `kfds-lint`
 //! `hot-path-alloc` list).
 //!
-//! Dispatch follows the repo's kill-switch convention: `KFDS_KNN=scalar`
-//! (or `off`/`0`) routes [`crate::neighbors`] onto the legacy per-pair
-//! scalar paths, and [`set_knn_blocked`] overrides the environment at
-//! runtime for A/B harnesses. [`blocked_tile_count`] counts GEMM tiles so
-//! the `perf_trajectory --check knn` gate can detect a silent fallback.
+//! [`blocked_tile_count`] counts the GEMM tiles computed, so a benchmark
+//! can report the distance work of a search.
 //!
 //! # Tolerance model
 //!
@@ -22,41 +19,18 @@
 //! absolute, so tiny distances lose relative accuracy (and can go
 //! negative — the epilogue clamps at zero). The neighbor search uses tile
 //! distances only to *select* candidates and recomputes the reported
-//! distances with the scalar `sq_dist`, so selection agrees with the
-//! scalar path unless two distinct candidate distances straddle the k-th
+//! distances with the scalar `sq_dist`, so selection agrees with brute
+//! force unless two distinct candidate distances straddle the k-th
 //! boundary within that residual.
 
 use crate::points::PointSet;
 use kfds_la::{gemm, simd, workspace, MatMut, MatRef, Trans};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Once;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-static BLOCKED: AtomicBool = AtomicBool::new(true);
-static ENV_INIT: Once = Once::new();
 static TILES: AtomicU64 = AtomicU64::new(0);
 
-/// Whether the kNN paths route through the blocked GEMM-tile pipeline
-/// (env `KFDS_KNN` + runtime override).
-#[inline]
-pub fn knn_blocked_active() -> bool {
-    ENV_INIT.call_once(|| {
-        if kfds_switches::KFDS_KNN.is_off() {
-            BLOCKED.store(false, Ordering::Relaxed);
-        }
-    });
-    BLOCKED.load(Ordering::Relaxed)
-}
-
-/// Enables or disables the blocked kNN pipeline at runtime (overrides
-/// `KFDS_KNN`), so the perf harness can A/B both paths in one process.
-pub fn set_knn_blocked(on: bool) {
-    let _ = knn_blocked_active(); // apply the env default first
-    BLOCKED.store(on, Ordering::Relaxed);
-}
-
-/// Number of GEMM distance tiles computed since process start — the
-/// dispatch witness for the `perf_trajectory -- --check knn` gate.
+/// Number of GEMM distance tiles computed since process start.
 pub fn blocked_tile_count() -> u64 {
     TILES.load(Ordering::Relaxed)
 }

@@ -15,6 +15,16 @@ pub mod neighbors;
 pub mod points;
 
 pub use balltree::{BallTree, Node, SplitRule};
-pub use dist_tiles::{blocked_tile_count, knn_blocked_active, set_knn_blocked};
+pub use dist_tiles::blocked_tile_count;
 pub use neighbors::{knn_all, knn_approximate, knn_brute_force, knn_recall, NeighborLists};
 pub use points::{sq_dist, PointSet};
+
+/// Compatibility no-op kept for `perfbench`, its only caller.
+#[doc(hidden)]
+pub fn set_knn_blocked(_on: bool) {}
+
+/// Compatibility item kept for `perfbench`, its only caller.
+#[doc(hidden)]
+pub fn knn_blocked_active() -> bool {
+    true
+}

@@ -1,29 +1,25 @@
-//! k-nearest-neighbor search: blocked (BLAS-3) by default, scalar fallback.
+//! k-nearest-neighbor search on blocked (BLAS-3) distance tiles.
 //!
 //! ASKIT uses per-point nearest-neighbor lists to choose the sampled rows
 //! `S'` of the skeletonization targets (§II-A: "κ is the number of nearest
-//! neighbors used for skeletonization sampling"). Two paths exist for both
-//! the exact and the approximate search, selected by `KFDS_KNN` (see
-//! [`crate::dist_tiles`]):
+//! neighbors used for skeletonization sampling").
 //!
-//! * **blocked** (default): the exact search is a dual-tree / leaf-blocked
-//!   all-nearest-neighbors traversal — node-vs-node ball bounds prune
-//!   against the *max* of a query leaf's current k-th-best radii, and each
-//!   surviving leaf×leaf pair resolves as one GEMM distance tile
+//! * The exact search is a dual-tree / leaf-blocked all-nearest-neighbors
+//!   traversal — node-vs-node ball bounds prune against the *max* of a
+//!   query leaf's current k-th-best radii, and each surviving leaf×leaf
+//!   pair resolves as one GEMM distance tile
 //!   ([`crate::dist_tiles::dist_tile_ranges`]) feeding per-query [`KBest`]
-//!   heaps. The approximate path batches the projection-tree split keys
-//!   (one SIMD dot per point per split, cached outside the
+//!   heaps.
+//! * The approximate search batches the projection-tree split keys (one
+//!   SIMD dot per point per split, cached outside the
 //!   `select_nth_unstable_by` comparator), scores every bucket as one
 //!   symmetric GEMM tile, and merges each query's tile rows through a
 //!   duplicate-rejecting heap.
-//! * **scalar** (`KFDS_KNN=scalar`): the original per-query ball-tree
-//!   descent and per-pair `sq_dist` scoring, kept for A/B comparison.
 //!
-//! Both paths order every neighbor list by `(distance, index)` and the
-//! blocked path recomputes the reported distances with the scalar
-//! [`sq_dist`], so blocked and scalar output is bitwise identical whenever
-//! the selected neighbor sets agree (see the tolerance model in
-//! [`crate::dist_tiles`]).
+//! Both order every neighbor list by `(distance, index)` and recompute the
+//! reported distances with the scalar [`sq_dist`], so the exact search is
+//! bitwise equal to [`knn_brute_force`] whenever the selected neighbor sets
+//! agree (see the tolerance model in [`crate::dist_tiles`]).
 
 use crate::balltree::BallTree;
 use crate::dist_tiles;
@@ -66,8 +62,8 @@ impl NeighborLists {
 /// `(dist, idx)` lexicographic "less than" — the total order used for all
 /// heap comparisons and output sorting. Breaking exact distance ties by
 /// index makes the selected set (and its order) independent of insertion
-/// order, which is what lets the blocked and scalar paths return
-/// bitwise-identical lists.
+/// order, which is what lets the exact search and [`knn_brute_force`]
+/// return bitwise-identical lists.
 #[inline]
 fn cand_lt(a: (f64, u32), b: (f64, u32)) -> bool {
     a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
@@ -159,57 +155,19 @@ impl KBest {
     fn into_entries(self) -> Vec<(f64, u32)> {
         self.heap
     }
-
-    /// The kept candidates, `(dist, idx)`-sorted nearest first.
-    fn into_sorted(self) -> Vec<(f64, u32)> {
-        let mut h = self.heap;
-        h.sort_by(cand_cmp);
-        h
-    }
 }
 
 /// Computes exact k-nearest neighbors (excluding the point itself) for all
-/// points in `tree`, in parallel.
-///
-/// Dispatches on the `KFDS_KNN` switch: the blocked dual-tree traversal by
-/// default, the scalar per-query descent under `KFDS_KNN=scalar` (or
-/// [`crate::dist_tiles::set_knn_blocked`]`(false)`).
+/// points in `tree`, in parallel: dual-tree all-nearest-neighbors over
+/// query leaves, one GEMM distance tile per surviving leaf×leaf pair.
 ///
 /// # Panics
 /// Panics if `k >= n` or `k == 0`.
 pub fn knn_all(tree: &BallTree, k: usize) -> NeighborLists {
-    let n = tree.points().len();
-    assert!(k > 0 && k < n, "need 0 < k < n (k={k}, n={n})");
-    if dist_tiles::knn_blocked_active() {
-        knn_all_blocked(tree, k)
-    } else {
-        knn_all_scalar(tree, k)
-    }
-}
-
-/// Scalar exact path: one ball-tree descent per query point.
-fn knn_all_scalar(tree: &BallTree, k: usize) -> NeighborLists {
-    let n = tree.points().len();
-    let mut idx = vec![0u32; n * k];
-    let mut dist = vec![0.0f64; n * k];
-
-    idx.par_chunks_mut(k).zip(dist.par_chunks_mut(k)).enumerate().for_each(|(q, (irow, drow))| {
-        let mut best = KBest::new(k);
-        search(tree, tree.root(), q, &mut best);
-        for (j, (d, i)) in best.into_sorted().into_iter().enumerate() {
-            irow[j] = i;
-            drow[j] = d;
-        }
-    });
-
-    NeighborLists { k, idx, dist }
-}
-
-/// Blocked exact path: dual-tree all-nearest-neighbors, parallel over
-/// query leaves, one GEMM distance tile per surviving leaf×leaf pair.
-fn knn_all_blocked(tree: &BallTree, k: usize) -> NeighborLists {
     let pts = tree.points();
     let n = pts.len();
+    assert!(k > 0 && k < n, "need 0 < k < n (k={k}, n={n})");
+
     let mut norms = workspace::take(n);
     pts.sq_norms_into(&mut norms);
     let norms: &[f64] = &norms;
@@ -294,8 +252,8 @@ fn leaf_all_nn(
 
     // Finalize: recompute the selected distances with the scalar sq_dist
     // (tile distances carry the Gram-identity residual) and sort by
-    // (dist, idx) — bitwise equal to the scalar path when the selected
-    // sets agree.
+    // (dist, idx) — bitwise equal to brute force when the selected sets
+    // agree.
     for (i, b) in best.into_iter().enumerate() {
         let qp = pts.point(qr.start + i);
         let mut sel = b.into_entries();
@@ -337,35 +295,6 @@ fn score_leaf_pair(
     }
 }
 
-/// Scalar recursive descent for one query (the legacy exact path).
-fn search(tree: &BallTree, node: usize, q: usize, best: &mut KBest) {
-    let nd = tree.node(node);
-    let pts = tree.points();
-    let qp = pts.point(q);
-    if nd.is_leaf() {
-        for i in nd.range() {
-            if i != q {
-                let d = sq_dist(qp, pts.point(i));
-                best.push(d, i as u32);
-            }
-        }
-        return;
-    }
-    let (l, r) = nd.children.expect("internal node");
-    // Visit the closer child first for tighter pruning bounds.
-    let dl = sq_dist(qp, &tree.node(l).center);
-    let dr = sq_dist(qp, &tree.node(r).center);
-    let order = if dl <= dr { [l, r] } else { [r, l] };
-    for &c in &order {
-        let cn = tree.node(c);
-        let center_dist = sq_dist(qp, &cn.center).sqrt();
-        let lower = (center_dist - cn.radius).max(0.0);
-        if lower * lower < best.worst() {
-            search(tree, c, q, best);
-        }
-    }
-}
-
 /// Approximate kNN via randomized projection trees — the scheme ASKIT
 /// uses in high ambient dimensions, where ball-pruned exact search
 /// degenerates to `O(N²d)`.
@@ -376,14 +305,10 @@ fn search(tree: &BallTree, node: usize, q: usize, best: &mut KBest) {
 /// candidates: `O(T·N·bucket·d)` total. Recall improves with `n_trees`;
 /// indices refer to the *permuted* positions of `tree`, like [`knn_all`].
 ///
-/// The blocked path (default) builds the same trees from batched, cached
-/// projection keys (one SIMD dot per point per split instead of two dots
-/// per comparator call), scores every bucket as one symmetric GEMM tile
-/// ([`crate::dist_tiles::dist_tile_sym`]), and merges each query's tile
-/// rows through a duplicate-rejecting heap; `KFDS_KNN=scalar` keeps
-/// per-pair `sq_dist` scoring over sort-deduped merged bucket lists and
-/// in-comparator projections. Bucket structure is identical on both paths
-/// (the cached keys are the same dots).
+/// The trees split on batched, cached projection keys (one SIMD dot per
+/// point per split), every bucket is scored as one symmetric GEMM tile
+/// ([`crate::dist_tiles::dist_tile_sym`]), and each query's tile rows merge
+/// through a duplicate-rejecting heap.
 ///
 /// # Panics
 /// Panics if `k >= n`, `k == 0`, or `n_trees == 0`.
@@ -393,16 +318,13 @@ pub fn knn_approximate(tree: &BallTree, k: usize, n_trees: usize, seed: u64) -> 
     assert!(k > 0 && k < n, "need 0 < k < n (k={k}, n={n})");
     assert!(n_trees > 0, "need at least one projection tree");
     let bucket = (4 * k).max(32).min(n);
-    let blocked = dist_tiles::knn_blocked_active();
 
     // For each projection tree, bucket ids per point. Trees are independent
-    // and seeded per index, so the blocked path builds them in parallel.
-    let build_one = |t: usize| projection_tree_buckets(pts, t, seed, bucket, blocked);
-    let buckets: Vec<Vec<u32>> = if blocked {
-        (0..n_trees).into_par_iter().map(build_one).collect()
-    } else {
-        (0..n_trees).map(build_one).collect()
-    };
+    // and seeded per index, so they are built in parallel.
+    let buckets: Vec<Vec<u32>> = (0..n_trees)
+        .into_par_iter()
+        .map(|t| projection_tree_buckets(pts, t, seed, bucket))
+        .collect();
 
     // Invert: members per (tree, bucket) (ascending within each bucket),
     // plus each point's row rank inside its bucket — the tile row it owns.
@@ -423,111 +345,83 @@ pub fn knn_approximate(tree: &BallTree, k: usize, n_trees: usize, seed: u64) -> 
     let mut idx_out = vec![0u32; n * k];
     let mut dist_out = vec![0.0f64; n * k];
 
-    if blocked {
-        let mut norms = workspace::take(n);
-        pts.sq_norms_into(&mut norms);
-        // Every bucket scores all its members against each other as one
-        // symmetric GEMM tile (O(T · N · bucket · d) flops, all BLAS-3);
-        // per-query merging then just reads precomputed tile rows. The flat
-        // tile buffer costs O(T · N · bucket) pooled memory — the same
-        // order as the candidate lists themselves.
-        let mut offsets: Vec<Vec<usize>> = Vec::with_capacity(n_trees);
-        let mut total = 0usize;
-        for m in &members {
-            let mut offs = Vec::with_capacity(m.len());
-            for mem in m {
-                offs.push(total);
-                total += mem.len() * mem.len();
-            }
-            offsets.push(offs);
+    let mut norms = workspace::take(n);
+    pts.sq_norms_into(&mut norms);
+    // Every bucket scores all its members against each other as one
+    // symmetric GEMM tile (O(T · N · bucket · d) flops, all BLAS-3);
+    // per-query merging then just reads precomputed tile rows. The flat
+    // tile buffer costs O(T · N · bucket) pooled memory — the same
+    // order as the candidate lists themselves.
+    let mut offsets: Vec<Vec<usize>> = Vec::with_capacity(n_trees);
+    let mut total = 0usize;
+    for m in &members {
+        let mut offs = Vec::with_capacity(m.len());
+        for mem in m {
+            offs.push(total);
+            total += mem.len() * mem.len();
         }
-        let mut tiles = workspace::take(total);
-        let mut jobs: Vec<(usize, usize, &mut [f64])> = Vec::new();
-        let mut rest: &mut [f64] = &mut tiles;
-        for (t, m) in members.iter().enumerate() {
-            for (b, mem) in m.iter().enumerate() {
-                let (tile, tail) = rest.split_at_mut(mem.len() * mem.len());
-                rest = tail;
-                jobs.push((t, b, tile));
-            }
+        offsets.push(offs);
+    }
+    let mut tiles = workspace::take(total);
+    let mut jobs: Vec<(usize, usize, &mut [f64])> = Vec::new();
+    let mut rest: &mut [f64] = &mut tiles;
+    for (t, m) in members.iter().enumerate() {
+        for (b, mem) in m.iter().enumerate() {
+            let (tile, tail) = rest.split_at_mut(mem.len() * mem.len());
+            rest = tail;
+            jobs.push((t, b, tile));
         }
-        jobs.into_par_iter().for_each(|(t, b, tile)| {
-            let mem = &members[t][b];
-            let len = mem.len();
-            dist_tiles::dist_tile_sym(pts, &norms, mem, MatMut::from_parts(tile, len, len, len));
-        });
+    }
+    jobs.into_par_iter().for_each(|(t, b, tile)| {
+        let mem = &members[t][b];
+        let len = mem.len();
+        dist_tiles::dist_tile_sym(pts, &norms, mem, MatMut::from_parts(tile, len, len, len));
+    });
 
-        idx_out.par_chunks_mut(k).zip(dist_out.par_chunks_mut(k)).enumerate().for_each(
-            |(q, (irow, drow))| {
-                // The query's row of each tree's bucket tile already holds
-                // the distances to that tree's candidates; merge the rows
-                // through a duplicate-rejecting heap (cross-tree duplicates
-                // carry bitwise-equal tile distances).
-                let mut best = KBest::new(k);
-                for t in 0..n_trees {
-                    let b = buckets[t][q] as usize;
-                    let mem = &members[t][b];
-                    let len = mem.len();
-                    let row = ranks[t][q] as usize;
-                    let tile = &tiles[offsets[t][b]..offsets[t][b] + len * len];
-                    for (jj, &c) in mem.iter().enumerate() {
-                        if c as usize != q {
-                            best.push_distinct(tile[jj * len + row], c);
-                        }
+    idx_out.par_chunks_mut(k).zip(dist_out.par_chunks_mut(k)).enumerate().for_each(
+        |(q, (irow, drow))| {
+            // The query's row of each tree's bucket tile already holds
+            // the distances to that tree's candidates; merge the rows
+            // through a duplicate-rejecting heap (cross-tree duplicates
+            // carry bitwise-equal tile distances).
+            let mut best = KBest::new(k);
+            for t in 0..n_trees {
+                let b = buckets[t][q] as usize;
+                let mem = &members[t][b];
+                let len = mem.len();
+                let row = ranks[t][q] as usize;
+                let tile = &tiles[offsets[t][b]..offsets[t][b] + len * len];
+                for (jj, &c) in mem.iter().enumerate() {
+                    if c as usize != q {
+                        best.push_distinct(tile[jj * len + row], c);
                     }
                 }
-                finalize_approx_row(pts, q, best, true, k, irow, drow);
-            },
-        );
-    } else {
-        idx_out.par_chunks_mut(k).zip(dist_out.par_chunks_mut(k)).enumerate().for_each(
-            |(q, (irow, drow))| {
-                // Merge the query's bucket lists and sort-dedup them (the
-                // lists are short and sorted, so one sort of the
-                // concatenation beats a per-push linear scan by orders of
-                // magnitude).
-                let mut cand = Vec::<u32>::with_capacity(n_trees * bucket);
-                for t in 0..n_trees {
-                    cand.extend_from_slice(&members[t][buckets[t][q] as usize]);
-                }
-                cand.sort_unstable();
-                cand.dedup();
-                if let Ok(p) = cand.binary_search(&(q as u32)) {
-                    cand.remove(p);
-                }
-                let mut best = KBest::new(k);
-                for &c in cand.iter() {
-                    best.push(pts.sq_dist(q, c as usize), c);
-                }
-                finalize_approx_row(pts, q, best, false, k, irow, drow);
-            },
-        );
-    }
+            }
+            finalize_approx_row(pts, q, best, k, irow, drow);
+        },
+    );
 
     NeighborLists { k, idx: idx_out, dist: dist_out }
 }
 
-/// Shared tail of both approximate paths: optional exact-distance
-/// recompute (the blocked path selected on tile distances), `(dist, idx)`
-/// sort, row write-out, and the candidates-short-of-`k` padding with the
-/// smallest indices not already present (sorted among themselves, so the
-/// row stays duplicate-free).
+/// Tail of the approximate search: exact-distance recompute (candidates
+/// were selected on tile distances), `(dist, idx)` sort, row write-out, and
+/// the candidates-short-of-`k` padding with the smallest indices not
+/// already present (sorted among themselves, so the row stays
+/// duplicate-free).
 fn finalize_approx_row(
     pts: &PointSet,
     q: usize,
     best: KBest,
-    recompute: bool,
     k: usize,
     irow: &mut [u32],
     drow: &mut [f64],
 ) {
     let mut sel = best.into_entries();
-    if recompute {
-        // Same exact-recompute finalization as the dual-tree path.
-        let qp = pts.point(q);
-        for e in &mut sel {
-            e.0 = sq_dist(qp, pts.point(e.1 as usize));
-        }
+    // Same exact-recompute finalization as the dual-tree path.
+    let qp = pts.point(q);
+    for e in &mut sel {
+        e.0 = sq_dist(qp, pts.point(e.1 as usize));
     }
     sel.sort_by(cand_cmp);
     for (j, &(d, i)) in sel.iter().enumerate() {
@@ -552,17 +446,9 @@ fn finalize_approx_row(
 }
 
 /// Builds one randomized projection tree and returns the bucket id per
-/// point. Splits are identical on both paths — the blocked path computes
-/// each point's projection once per split into a cached key buffer (the
-/// same `blas1::dot`), the scalar path recomputes dots inside the
-/// comparator like the original implementation.
-fn projection_tree_buckets(
-    pts: &PointSet,
-    t: usize,
-    seed: u64,
-    bucket: usize,
-    blocked: bool,
-) -> Vec<u32> {
+/// point. Each point's projection is computed once per split into a
+/// cached key buffer.
+fn projection_tree_buckets(pts: &PointSet, t: usize, seed: u64, bucket: usize) -> Vec<u32> {
     let n = pts.len();
     let d = pts.dim();
     let mut assignment = vec![0u32; n];
@@ -590,20 +476,12 @@ fn projection_tree_buckets(
             *v = rnd();
         }
         let mid = lo + (hi - lo) / 2;
-        if blocked {
-            for &i in &idx[lo..hi] {
-                keys[i] = kfds_la::blas1::dot(pts.point(i), &dir);
-            }
-            idx[lo..hi].select_nth_unstable_by(mid - lo, |&a, &b| {
-                keys[a].partial_cmp(&keys[b]).expect("NaN projection")
-            });
-        } else {
-            idx[lo..hi].select_nth_unstable_by(mid - lo, |&a, &b| {
-                let pa = kfds_la::blas1::dot(pts.point(a), &dir);
-                let pb = kfds_la::blas1::dot(pts.point(b), &dir);
-                pa.partial_cmp(&pb).expect("NaN projection")
-            });
+        for &i in &idx[lo..hi] {
+            keys[i] = kfds_la::blas1::dot(pts.point(i), &dir);
         }
+        idx[lo..hi].select_nth_unstable_by(mid - lo, |&a, &b| {
+            keys[a].partial_cmp(&keys[b]).expect("NaN projection")
+        });
         stack.push((lo, mid));
         stack.push((mid, hi));
     }
@@ -629,7 +507,7 @@ pub fn knn_recall(exact: &NeighborLists, approx: &NeighborLists) -> f64 {
 }
 
 /// Brute-force kNN reference (O(n² d)); used for testing and tiny inputs.
-/// Rows are `(dist, idx)`-sorted like both production paths.
+/// Rows are `(dist, idx)`-sorted like [`knn_all`] and [`knn_approximate`].
 pub fn knn_brute_force(tree: &BallTree, k: usize) -> NeighborLists {
     let pts = tree.points();
     let n = pts.len();
@@ -652,10 +530,6 @@ pub fn knn_brute_force(tree: &BallTree, k: usize) -> NeighborLists {
 mod tests {
     use super::*;
     use crate::points::PointSet;
-    use std::sync::Mutex;
-
-    /// Serializes tests that flip the process-global `KFDS_KNN` override.
-    static SWITCH_LOCK: Mutex<()> = Mutex::new(());
 
     fn rand_points(n: usize, d: usize, seed: u64) -> PointSet {
         let mut state = seed | 1;
@@ -700,8 +574,6 @@ mod tests {
         // leaf×leaf pairs must prune, the survivors must still be exact.
         let p = crate::datasets::gaussian_mixture(500, 6, 8, 0.05, 11);
         let t = BallTree::build(&p, 16);
-        let _g = SWITCH_LOCK.lock().unwrap();
-        crate::dist_tiles::set_knn_blocked(true);
         let fast = knn_all(&t, 8);
         let slow = knn_brute_force(&t, 8);
         for i in 0..500 {
@@ -725,8 +597,6 @@ mod tests {
             }
         }
         let t = BallTree::build(&p, 8);
-        let _g = SWITCH_LOCK.lock().unwrap();
-        crate::dist_tiles::set_knn_blocked(true);
         let fast = knn_all(&t, 5);
         let slow = knn_brute_force(&t, 5);
         assert_lists_bitwise_eq(&fast, &slow, 160, "coincident");
@@ -736,43 +606,15 @@ mod tests {
     }
 
     #[test]
-    fn blocked_and_scalar_exact_paths_agree_bitwise() {
-        let p = rand_points(300, 8, 4);
-        let t = BallTree::build(&p, 16);
-        let _g = SWITCH_LOCK.lock().unwrap();
-        crate::dist_tiles::set_knn_blocked(true);
-        let blocked = knn_all(&t, 7);
-        crate::dist_tiles::set_knn_blocked(false);
-        let scalar = knn_all(&t, 7);
-        crate::dist_tiles::set_knn_blocked(true);
-        assert_lists_bitwise_eq(&blocked, &scalar, 300, "exact A/B");
-    }
-
-    #[test]
-    fn blocked_and_scalar_approx_paths_agree_bitwise() {
-        let p = rand_points(250, 12, 21);
-        let t = BallTree::build(&p, 16);
-        let _g = SWITCH_LOCK.lock().unwrap();
-        crate::dist_tiles::set_knn_blocked(true);
-        let blocked = knn_approximate(&t, 6, 4, 9);
-        crate::dist_tiles::set_knn_blocked(false);
-        let scalar = knn_approximate(&t, 6, 4, 9);
-        crate::dist_tiles::set_knn_blocked(true);
-        assert_lists_bitwise_eq(&blocked, &scalar, 250, "approx A/B");
-    }
-
-    #[test]
-    fn scalar_exact_path_matches_brute_force_bitwise() {
-        // The scalar path is the reference: distances AND indices must
+    fn exact_knn_matches_brute_force_bitwise() {
+        // Well-separated random points: distances AND indices must
         // reproduce the brute-force (dist, idx) order exactly.
-        let p = rand_points(180, 4, 15);
-        let t = BallTree::build(&p, 8);
-        let _g = SWITCH_LOCK.lock().unwrap();
-        crate::dist_tiles::set_knn_blocked(false);
-        let fast = knn_all(&t, 6);
-        crate::dist_tiles::set_knn_blocked(true);
-        let slow = knn_brute_force(&t, 6);
-        assert_lists_bitwise_eq(&fast, &slow, 180, "scalar vs brute");
+        for &(n, d, k, leaf, seed) in &[(300, 8, 7, 16, 4u64), (180, 4, 6, 8, 15)] {
+            let t = BallTree::build(&rand_points(n, d, seed), leaf);
+            let fast = knn_all(&t, k);
+            let slow = knn_brute_force(&t, k);
+            assert_lists_bitwise_eq(&fast, &slow, n, "exact vs brute");
+        }
     }
 
     #[test]
@@ -810,7 +652,7 @@ mod tests {
         // true neighbors with a handful of trees.
         let p = crate::datasets::normal_embedded(400, 3, 24, 0.05, 5);
         let t = BallTree::build(&p, 16);
-        let exact = knn_all(&t, 8);
+        let exact = knn_brute_force(&t, 8);
         let approx = knn_approximate(&t, 8, 6, 42);
         let recall = knn_recall(&exact, &approx);
         assert!(recall > 0.7, "recall {recall}");
@@ -843,19 +685,14 @@ mod tests {
         // queries; padded rows must still be duplicate-free and self-free.
         let p = rand_points(40, 3, 31);
         let t = BallTree::build(&p, 8);
-        for &blocked in &[true, false] {
-            let _g = SWITCH_LOCK.lock().unwrap();
-            crate::dist_tiles::set_knn_blocked(blocked);
-            let nn = knn_approximate(&t, 36, 1, 3);
-            crate::dist_tiles::set_knn_blocked(true);
-            for i in 0..40 {
-                let mut ids: Vec<u32> = nn.neighbors(i).to_vec();
-                assert!(!ids.contains(&(i as u32)), "self-neighbor at {i} (blocked={blocked})");
-                ids.sort_unstable();
-                let len = ids.len();
-                ids.dedup();
-                assert_eq!(ids.len(), len, "duplicate neighbors at {i} (blocked={blocked})");
-            }
+        let nn = knn_approximate(&t, 36, 1, 3);
+        for i in 0..40 {
+            let mut ids: Vec<u32> = nn.neighbors(i).to_vec();
+            assert!(!ids.contains(&(i as u32)), "self-neighbor at {i}");
+            ids.sort_unstable();
+            let len = ids.len();
+            ids.dedup();
+            assert_eq!(ids.len(), len, "duplicate neighbors at {i}");
         }
     }
 

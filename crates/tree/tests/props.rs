@@ -1,15 +1,8 @@
 //! Property-based tests for the geometric substrate.
 
 use kfds_tree::datasets::normal_embedded;
-use kfds_tree::{
-    knn_all, knn_approximate, knn_brute_force, knn_recall, set_knn_blocked, BallTree, PointSet,
-};
+use kfds_tree::{knn_all, knn_approximate, knn_brute_force, knn_recall, BallTree, PointSet};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serializes tests that flip the global `KFDS_KNN` runtime override so a
-/// concurrent test never observes a half-flipped A/B comparison.
-static SWITCH_LOCK: Mutex<()> = Mutex::new(());
 
 fn points_strategy(min_n: usize, max_n: usize, max_d: usize) -> impl Strategy<Value = PointSet> {
     (min_n..=max_n, 1..=max_d).prop_flat_map(|(n, d)| {
@@ -75,36 +68,30 @@ proptest! {
     }
 
     #[test]
-    fn scalar_switch_reproduces_blocked_output_bitwise(
+    fn approximate_rows_are_exact_sorted_and_distinct(
         pts in points_strategy(10, 80, 5),
         k in 1usize..6,
     ) {
         prop_assume!(k < pts.len());
-        let _guard = SWITCH_LOCK.lock().unwrap();
         let t = BallTree::build(&pts, 6);
-        set_knn_blocked(true);
-        let blocked_exact = knn_all(&t, k);
-        let blocked_approx = knn_approximate(&t, k, 3, 9);
-        set_knn_blocked(false);
-        let scalar_exact = knn_all(&t, k);
-        let scalar_approx = knn_approximate(&t, k, 3, 9);
-        set_knn_blocked(true);
-        // Both paths finalize with the same exact-recompute + (dist, idx)
-        // sort, so agreement must be bitwise, not merely within tolerance.
+        let approx = knn_approximate(&t, k, 3, 9);
+        // Candidates are selected on GEMM-tile distances, but every
+        // reported distance is recomputed exactly and rows stay
+        // (dist, idx)-sorted, self-free and duplicate-free.
         for i in 0..pts.len() {
-            prop_assert_eq!(blocked_exact.neighbors(i), scalar_exact.neighbors(i), "exact idx {i}");
-            prop_assert_eq!(blocked_approx.neighbors(i), scalar_approx.neighbors(i), "approx idx {i}");
+            let ids = approx.neighbors(i);
+            let ds = approx.distances(i);
             for j in 0..k {
+                prop_assert!(ids[j] as usize != i, "self-neighbor at {i}");
+                prop_assert!(!ids[..j].contains(&ids[j]), "duplicate neighbor at {i}");
                 prop_assert_eq!(
-                    blocked_exact.distances(i)[j].to_bits(),
-                    scalar_exact.distances(i)[j].to_bits(),
-                    "exact dist {i} rank {j}"
+                    ds[j].to_bits(),
+                    t.points().sq_dist(i, ids[j] as usize).to_bits(),
+                    "dist {i} rank {j}"
                 );
-                prop_assert_eq!(
-                    blocked_approx.distances(i)[j].to_bits(),
-                    scalar_approx.distances(i)[j].to_bits(),
-                    "approx dist {i} rank {j}"
-                );
+            }
+            for w in ds.windows(2) {
+                prop_assert!(w[0] <= w[1]);
             }
         }
     }
@@ -117,7 +104,7 @@ proptest! {
         // neighbors regardless of the RNG stream.
         let p = normal_embedded(300, 3, 16, 0.05, seed.wrapping_mul(0x9e3779b9).wrapping_add(1));
         let t = BallTree::build(&p, 16);
-        let exact = knn_all(&t, 8);
+        let exact = knn_brute_force(&t, 8);
         let approx = knn_approximate(&t, 8, 6, seed);
         let recall = knn_recall(&exact, &approx);
         prop_assert!(recall > 0.55, "seed {seed}: recall {recall}");
