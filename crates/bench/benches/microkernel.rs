@@ -10,14 +10,16 @@
 //! * `gemv` — the solve's dominant primitive.
 //! * `gsks` — the fused summation at small source dimensions `d`, where
 //!   the rank-`d` register tile and the vectorized `exp` epilogue carry
-//!   the cost.
+//!   the cost: Gaussian and Laplacian, square `1024 x 1024` blocks and the
+//!   hybrid V-apply's `128 x 16384` at `d = 8` (per-entry cost without a
+//!   full hybrid solve).
 //!
 //! ```sh
 //! cargo bench -p kfds-bench --bench microkernel
 //! ```
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kfds_kernels::{sum_fused, Gaussian};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
+use kfds_kernels::{sum_fused, Gaussian, Kernel, Laplacian};
 use kfds_la::{gemm, simd, Mat, Trans};
 use kfds_tree::PointSet;
 use std::hint::black_box;
@@ -84,27 +86,42 @@ fn bench_gemv(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `sum_fused` shape per mode. On an AVX-512 host the `simd` mode of
+/// an exp-type kernel runs the fused row kernel, every other case the
+/// `8 x 4` tile path.
+fn bench_gsks_case<K: Kernel>(
+    group: &mut BenchmarkGroup<'_>,
+    kernel: &K,
+    (m, n, d): (usize, usize, usize),
+) {
+    let pts = rand_points(m + n, d, 5);
+    let rows: Vec<usize> = (0..m).collect();
+    let cols: Vec<usize> = (m..m + n).collect();
+    let u: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+    let mut w = vec![0.0; m];
+    for (name, on) in MODES {
+        let id = BenchmarkId::new(format!("{name}_{}", kernel.name()), format!("{m}x{n}_d{d}"));
+        group.bench_with_input(id, &d, |bch, _| {
+            simd::set_simd_enabled(on);
+            bch.iter(|| {
+                sum_fused(kernel, &pts, &rows, &cols, &u, &mut w);
+                black_box(w[0])
+            })
+        });
+    }
+}
+
 fn bench_gsks_tiles(c: &mut Criterion) {
     let mut group = c.benchmark_group("microkernel_gsks");
     group.sample_size(10);
-    let n = 2048usize;
-    let k = Gaussian::new(1.0);
     for &d in &[3usize, 8, 16] {
-        let pts = rand_points(n, d, 5);
-        let rows: Vec<usize> = (0..n / 2).collect();
-        let cols: Vec<usize> = (n / 2..n).collect();
-        let u: Vec<f64> = (0..cols.len()).map(|i| (i as f64 * 0.7).sin()).collect();
-        let mut w = vec![0.0; rows.len()];
-        for (name, on) in MODES {
-            group.bench_with_input(BenchmarkId::new(name, format!("d{d}")), &d, |bch, _| {
-                simd::set_simd_enabled(on);
-                bch.iter(|| {
-                    sum_fused(&k, &pts, &rows, &cols, &u, &mut w);
-                    black_box(w[0])
-                })
-            });
-        }
+        bench_gsks_case(&mut group, &Gaussian::new(1.0), (1024, 1024, d));
     }
+    bench_gsks_case(&mut group, &Laplacian::new(1.0), (1024, 1024, 8));
+    // The hybrid V-apply's shape: one frontier node's 128 skeleton rows
+    // against N = 16384 sources in 8-D (the SUSY stand-in of Table V).
+    bench_gsks_case(&mut group, &Gaussian::new(1.4), (128, 16384, 8));
+    bench_gsks_case(&mut group, &Laplacian::new(1.4), (128, 16384, 8));
     simd::set_simd_enabled(true);
     group.finish();
 }

@@ -23,6 +23,13 @@ pub enum SolverError {
     /// The hybrid solver requires every leaf to lie inside the
     /// skeletonization frontier.
     FrontierIncomplete,
+    /// A right-hand side has the wrong number of rows for the operator.
+    DimensionMismatch {
+        /// Rows the operator requires (the number of points).
+        expected: usize,
+        /// Rows the caller passed.
+        got: usize,
+    },
     /// The factorization cannot be partitioned into rank-owned subtree
     /// shards (wrong shard count for the tree shape, incomplete
     /// factorization, or a non-contiguous cut).
@@ -43,6 +50,9 @@ impl fmt::Display for SolverError {
             }
             SolverError::FrontierIncomplete => {
                 write!(f, "skeletonization frontier does not cover all leaves")
+            }
+            SolverError::DimensionMismatch { expected, got } => {
+                write!(f, "right-hand side has {got} rows, expected {expected}")
             }
             SolverError::Partition { reason } => {
                 write!(f, "factorization cannot be partitioned: {reason}")

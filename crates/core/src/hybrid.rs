@@ -5,10 +5,10 @@
 //! over `φ ∈ A` (factorized directly), `W = D^{-1} blockdiag(P_{φφ̃})`
 //! (the frontier `P̂` factors, Algorithm II.7), and `V` stacks the
 //! skeleton-row blocks `K_{φ̃, X∖φ}` (Algorithm II.8, evaluated
-//! matrix-free — the storage for these blocks above the frontier is
-//! exactly what the hybrid scheme avoids). The reduced system
-//! `(I + V W) z = V D^{-1} u` of size `Σ_φ s_φ ≈ 2^L s` is solved by
-//! GMRES; then `x = D^{-1}u − W z`.
+//! matrix-free over the complement of `φ` — the storage for these blocks
+//! above the frontier is exactly what the hybrid scheme avoids). The
+//! reduced system `(I + V W) z = V D^{-1} u` of size `Σ_φ s_φ ≈ 2^L s` is
+//! solved by GMRES; then `x = D^{-1}u − W z`.
 
 use crate::error::SolverError;
 use crate::factor::FactorTree;
@@ -132,16 +132,24 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         });
     }
 
-    /// `y_φ = K_{φ̃, X∖φ} x` for every frontier node (Algorithm II.8:
-    /// `MatVecV` over all nodes above and on the frontier), evaluated
-    /// matrix-free as `K_{φ̃, X} x − K_{φ̃, φ} x_φ`.
+    /// `X∖φ` for frontier node `f`: the point indices before and after
+    /// its contiguous range, as one list.
+    fn complement(&self, f: usize) -> Vec<usize> {
+        let tree = self.ft.skeleton_tree().tree();
+        let nd = tree.node(f);
+        (0..nd.begin).chain(nd.end..tree.points().len()).collect()
+    }
+
+    /// `y_φ = K_{φ̃, X∖φ} x_{X∖φ}` for every frontier node (Algorithm
+    /// II.8: `MatVecV` over all nodes above and on the frontier), as one
+    /// fused summation per node over the complement of `φ` — the two
+    /// contiguous ranges before and after `φ`. The own block `K_{φ̃,φ}` is
+    /// never evaluated, so nothing is computed only to be subtracted.
     fn apply_v(&self, x: &[f64]) -> Vec<f64> {
         let st = self.ft.skeleton_tree();
         let tree = st.tree();
         let pts = tree.points();
         let kernel = self.ft.kernel();
-        let n = pts.len();
-        let all: Vec<usize> = (0..n).collect();
         let segments: Vec<Vec<f64>> = self
             .frontier
             .par_iter()
@@ -150,14 +158,10 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
                 if sk.rank() == 0 {
                     return Vec::new();
                 }
+                let nd = tree.node(f);
+                let xc: Vec<f64> = x[..nd.begin].iter().chain(&x[nd.end..]).copied().collect();
                 let mut y = vec![0.0; sk.rank()];
-                sum_fused(kernel, pts, &sk.skeleton, &all, x, &mut y);
-                let range: Vec<usize> = tree.node(f).range().collect();
-                let mut own = vec![0.0; sk.rank()];
-                sum_fused(kernel, pts, &sk.skeleton, &range, &x[tree.node(f).range()], &mut own);
-                for (yi, oi) in y.iter_mut().zip(&own) {
-                    *yi -= oi;
-                }
+                sum_fused(kernel, pts, &sk.skeleton, &self.complement(f), &xc, &mut y);
                 y
             })
             .collect();
@@ -185,9 +189,12 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     }
 
     /// Solves `(λI + K̃) x = b` (`b` in permuted order) — Algorithm II.6.
+    ///
+    /// # Errors
+    /// [`SolverError::DimensionMismatch`] if `b` does not have one entry
+    /// per point.
     pub fn solve(&self, b: &[f64], opts: &GmresOptions) -> Result<HybridOutcome, SolverError> {
-        let n = self.ft.skeleton_tree().tree().points().len();
-        assert_eq!(b.len(), n, "hybrid solve: rhs length mismatch");
+        let n = self.check_rows(b.len())?;
         // v = D^{-1} u.
         let mut v = b.to_vec();
         self.apply_dinv(&mut v);
@@ -252,17 +259,15 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         }
     }
 
-    /// Multi-RHS `V` application: `Y_φ = K_{φ̃, X∖φ} X` for every frontier
-    /// node, as one fused multi-RHS summation per node instead of one
-    /// single-vector pass per column.
+    /// Multi-RHS `V` application: `Y_φ = K_{φ̃, X∖φ} X_{X∖φ}` for every
+    /// frontier node, as one fused multi-RHS summation per node over the
+    /// complement of `φ` instead of one single-vector pass per column.
     fn apply_v_mat(&self, x: &Mat) -> Mat {
         let st = self.ft.skeleton_tree();
         let tree = st.tree();
         let pts = tree.points();
         let kernel = self.ft.kernel();
-        let n = pts.len();
         let nrhs = x.ncols();
-        let all: Vec<usize> = (0..n).collect();
         let indexed: Vec<(usize, usize)> = self.frontier.iter().copied().enumerate().collect();
         let segments: Vec<(usize, Mat)> = indexed
             .into_par_iter()
@@ -272,25 +277,17 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
                 if s == 0 {
                     return (k, Mat::zeros(0, nrhs));
                 }
-                let mut y = workspace::take_mat_detached(s, nrhs);
-                sum_fused_multi(kernel, pts, &sk.skeleton, &all, x.rb(), y.rb_mut());
-                let range: Vec<usize> = tree.node(f).range().collect();
                 let nd = tree.node(f);
-                let mut own = workspace::take_mat_detached(s, nrhs);
-                sum_fused_multi(
-                    kernel,
-                    pts,
-                    &sk.skeleton,
-                    &range,
-                    x.submatrix(nd.begin..nd.end, 0..nrhs),
-                    own.rb_mut(),
-                );
+                let cols = self.complement(f);
+                let mut xc = workspace::take_mat_detached(cols.len(), nrhs);
                 for j in 0..nrhs {
-                    for i in 0..s {
-                        y[(i, j)] -= own[(i, j)];
-                    }
+                    let (src, dst) = (x.col(j), xc.col_mut(j));
+                    dst[..nd.begin].copy_from_slice(&src[..nd.begin]);
+                    dst[nd.begin..].copy_from_slice(&src[nd.end..]);
                 }
-                workspace::recycle_mat(own);
+                let mut y = workspace::take_mat_detached(s, nrhs);
+                sum_fused_multi(kernel, pts, &sk.skeleton, &cols, xc.rb(), y.rb_mut());
+                workspace::recycle_mat(xc);
                 (k, y)
             })
             .collect();
@@ -355,15 +352,14 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// the cheap part). Returns one [`SolveResult`] per column.
     ///
     /// # Errors
-    /// Currently infallible after construction, but kept fallible to match
-    /// [`HybridSolver::solve`].
+    /// [`SolverError::DimensionMismatch`] if `B` does not have one row per
+    /// point.
     pub fn solve_mat_in_place(
         &self,
         b: &mut Mat,
         opts: &GmresOptions,
     ) -> Result<Vec<SolveResult>, SolverError> {
-        let n = self.ft.skeleton_tree().tree().points().len();
-        assert_eq!(b.nrows(), n, "hybrid solve: rhs rows mismatch");
+        let n = self.check_rows(b.nrows())?;
         let nrhs = b.ncols();
         // V_mat = D^{-1} B, blocked over the frontier.
         self.apply_dinv_mat(b);
@@ -402,14 +398,29 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         Ok(results)
     }
 
+    /// The number of points `n`, or [`SolverError::DimensionMismatch`]
+    /// if a right-hand side with `rows` rows does not match it.
+    fn check_rows(&self, rows: usize) -> Result<usize, SolverError> {
+        let n = self.ft.skeleton_tree().tree().points().len();
+        if rows == n {
+            Ok(n)
+        } else {
+            Err(SolverError::DimensionMismatch { expected: n, got: rows })
+        }
+    }
+
     /// Convenience wrapper: right-hand side and solution in *original*
     /// point order.
+    ///
+    /// # Errors
+    /// As [`HybridSolver::solve`].
     pub fn solve_original_order(
         &self,
         b: &[f64],
         opts: &GmresOptions,
     ) -> Result<HybridOutcome, SolverError> {
         let tree = self.ft.skeleton_tree().tree();
+        self.check_rows(b.len())?;
         let bp = tree.permute_vec(b);
         let mut out = self.solve(&bp, opts)?;
         out.x = tree.unpermute_vec(&out.x);

@@ -4,11 +4,14 @@
 use crate::config::{SolverConfig, StorageMode};
 use crate::{
     dist_factorize, estimate_condition, factorize, factorize_baseline, HybridSolver, KernelRidge,
+    SolverError,
 };
 use kfds_askit::{hier_matvec, skeletonize, SkelConfig, SkeletonTree};
-use kfds_kernels::{eval_symmetric, Gaussian};
+use kfds_kernels::{eval_block, eval_symmetric, Gaussian};
 use kfds_krylov::GmresOptions;
 use kfds_la::blas1::nrm2;
+use kfds_la::blas2::gemv;
+use kfds_la::Mat;
 use kfds_tree::datasets::{normal_embedded, two_class_annulus};
 use kfds_tree::BallTree;
 
@@ -188,6 +191,55 @@ fn hybrid_inverts_level_restricted_operator() {
     let applied = hier_matvec(&st, &kernel, lambda, &out.x);
     let r = rel_err(&applied, &b);
     assert!(r < 1e-8, "hybrid exact-inverse residual {r}");
+}
+
+#[test]
+fn hybrid_v_apply_matches_dense_complement_blocks() {
+    // V stacks K_{φ̃, X∖φ}: each frontier segment of apply_v must equal
+    // the dense block over the complement of the node's point range.
+    let (st, kernel) = fixture(3, 1e-5);
+    let ft = factorize(&st, &kernel, SolverConfig::default().with_lambda(0.8)).expect("factorize");
+    let hy = HybridSolver::new(&ft).expect("hybrid");
+    let tree = st.tree();
+    let n = tree.points().len();
+    let x = rand_vec(n, 17);
+    let y = hy.apply_v_pub(&x);
+    assert_eq!(y.len(), hy.reduced_dim());
+    let mut off = 0;
+    for &f in hy.frontier() {
+        let sk = st.skeleton(f).expect("frontier skeleton");
+        let nd = tree.node(f);
+        let cols: Vec<usize> = (0..nd.begin).chain(nd.end..n).collect();
+        let block = eval_block(&kernel, tree.points(), &sk.skeleton, &cols);
+        let xc: Vec<f64> = cols.iter().map(|&j| x[j]).collect();
+        let mut want = vec![0.0; sk.rank()];
+        gemv(1.0, block.rb(), &xc, 0.0, &mut want);
+        let r = rel_err(&y[off..off + sk.rank()], &want);
+        assert!(r < 1e-12, "frontier node {f}: relative error {r}");
+        off += sk.rank();
+    }
+    assert_eq!(off, y.len());
+}
+
+#[test]
+fn hybrid_rejects_wrong_length_rhs() {
+    let (st, kernel) = fixture(3, 1e-5);
+    let ft = factorize(&st, &kernel, SolverConfig::default().with_lambda(0.8)).expect("factorize");
+    let hy = HybridSolver::new(&ft).expect("hybrid");
+    let opts = GmresOptions::default();
+    for len in [0, 511, 513] {
+        let b = vec![1.0; len];
+        let mismatch = |e: &SolverError| matches!(e, SolverError::DimensionMismatch { expected: 512, got } if *got == len);
+        assert!(hy.solve(&b, &opts).is_err_and(|e| mismatch(&e)), "solve, len {len}");
+        assert!(
+            hy.solve_original_order(&b, &opts).is_err_and(|e| mismatch(&e)),
+            "solve_original_order, len {len}"
+        );
+    }
+    let mut b = Mat::zeros(500, 2);
+    let err = hy.solve_mat_in_place(&mut b, &opts);
+    assert!(matches!(err, Err(SolverError::DimensionMismatch { expected: 512, got: 500 })));
+    assert!(err.unwrap_err().to_string().contains("500 rows, expected 512"));
 }
 
 #[test]

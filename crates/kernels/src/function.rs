@@ -6,6 +6,8 @@
 //! ASKIT has been applied to polynomial, Matérn, Laplacian and Gaussian
 //! kernels (paper §I); all four are provided.
 
+pub use kfds_la::simd::ExpForm;
+
 /// A positive-definite kernel function evaluable in `O(d)` per entry.
 pub trait Kernel: Sync + Send {
     /// Evaluates the kernel from the inner product and squared norms of the
@@ -32,21 +34,44 @@ pub trait Kernel: Sync + Send {
     /// holds `K(x_r, y_c)`.
     ///
     /// This is the batched form the fused GSKS epilogue and the blocked
-    /// evaluators call. The default walks the tile with
-    /// [`Kernel::eval_parts`]; kernels whose transform ends in an
-    /// exponential (Gaussian, Laplacian) override it to batch the `exp`
-    /// through `kfds_la::simd::vexp`. Overrides must agree with
-    /// `eval_parts` within the SIMD tolerance documented in
-    /// `kfds_la::simd`, and must match it **bitwise** when
-    /// `kfds_la::simd::active()` is false (`KFDS_SIMD=off`).
+    /// evaluators call. For a kernel with an [`exp_form`](Kernel::exp_form)
+    /// the scaled negative distances are written elementwise (the same
+    /// expression as `eval_parts`, so identical per-entry arguments) and
+    /// the whole tile goes through one `kfds_la::simd::vexp` call: with
+    /// SIMD off that is `f64::exp` per element in order — bitwise the
+    /// scalar path; with SIMD on the vector `exp` is within a few ulp of
+    /// libm. Other kernels walk the tile with [`Kernel::eval_parts`].
     fn eval_parts_many(&self, tile: &mut [f64], nx: &[f64], ny: &[f64]) {
         debug_assert_eq!(tile.len(), nx.len() * ny.len());
         let n = ny.len();
+        let Some(form) = self.exp_form() else {
+            for (r, &nxr) in nx.iter().enumerate() {
+                for (t, &nyc) in tile[r * n..(r + 1) * n].iter_mut().zip(ny) {
+                    *t = self.eval_parts(*t, nxr, nyc);
+                }
+            }
+            return;
+        };
         for (r, &nxr) in nx.iter().enumerate() {
             for (t, &nyc) in tile[r * n..(r + 1) * n].iter_mut().zip(ny) {
-                *t = self.eval_parts(*t, nxr, nyc);
+                let d2 = (nxr + nyc - 2.0 * *t).max(0.0);
+                *t = match form {
+                    ExpForm::SqDist(c) => -d2 * c,
+                    ExpForm::Dist(c) => -d2.sqrt() * c,
+                };
             }
         }
+        kfds_la::simd::vexp(tile);
+    }
+
+    /// The kernel's shape as an exponential of the distance, if it has
+    /// one: Gaussian is `exp(−c·d²)`, Laplacian `exp(−c·d)`. Kernels that
+    /// report a form batch their `exp` in [`Kernel::eval_parts_many`] and
+    /// take the fused AVX-512 row kernel in [`sum_fused`](crate::sum_fused);
+    /// the default `None` keeps the tile path. A reported form must
+    /// describe `eval_parts` exactly.
+    fn exp_form(&self) -> Option<ExpForm> {
+        None
     }
 
     /// Approximate flop count of one `eval_parts` call (used for the
@@ -83,21 +108,8 @@ impl Kernel for Gaussian {
         (-d2 * self.inv_two_h2).exp()
     }
 
-    /// Batched override: the scaled negative squared distances are written
-    /// elementwise (same expression as `eval_parts`, so identical per-entry
-    /// values), then the whole tile goes through one `vexp` call. With SIMD
-    /// off `vexp` is `f64::exp` per element in order — bitwise the scalar
-    /// path; with SIMD on the 4-wide `exp` is within a few ulp of libm.
-    fn eval_parts_many(&self, tile: &mut [f64], nx: &[f64], ny: &[f64]) {
-        debug_assert_eq!(tile.len(), nx.len() * ny.len());
-        let n = ny.len();
-        for (r, &nxr) in nx.iter().enumerate() {
-            for (t, &nyc) in tile[r * n..(r + 1) * n].iter_mut().zip(ny) {
-                let d2 = (nxr + nyc - 2.0 * *t).max(0.0);
-                *t = -d2 * self.inv_two_h2;
-            }
-        }
-        kfds_la::simd::vexp(tile);
+    fn exp_form(&self) -> Option<ExpForm> {
+        Some(ExpForm::SqDist(self.inv_two_h2))
     }
 
     fn name(&self) -> &'static str {
@@ -128,19 +140,8 @@ impl Kernel for Laplacian {
         (-d2.sqrt() * self.inv_h).exp()
     }
 
-    /// Batched override mirroring [`Gaussian::eval_parts_many`]: scalar
-    /// distance transform (bitwise the `eval_parts` argument), one `vexp`
-    /// over the tile.
-    fn eval_parts_many(&self, tile: &mut [f64], nx: &[f64], ny: &[f64]) {
-        debug_assert_eq!(tile.len(), nx.len() * ny.len());
-        let n = ny.len();
-        for (r, &nxr) in nx.iter().enumerate() {
-            for (t, &nyc) in tile[r * n..(r + 1) * n].iter_mut().zip(ny) {
-                let d2 = (nxr + nyc - 2.0 * *t).max(0.0);
-                *t = -d2.sqrt() * self.inv_h;
-            }
-        }
-        kfds_la::simd::vexp(tile);
+    fn exp_form(&self) -> Option<ExpForm> {
+        Some(ExpForm::Dist(self.inv_h))
     }
 
     fn name(&self) -> &'static str {
@@ -287,6 +288,28 @@ mod tests {
                         k.name()
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn exp_form_describes_eval_parts() {
+        let kernels: Vec<Box<dyn Kernel>> = vec![
+            Box::new(Gaussian::new(0.7)),
+            Box::new(Laplacian::new(1.3)),
+            Box::new(Matern32::new(0.5)),
+            Box::new(Polynomial::new(0.5, 1.0, 3)),
+        ];
+        let (dot, nx, ny) = (0.4, 1.1, 0.9);
+        let d2: f64 = nx + ny - 2.0 * dot;
+        for k in &kernels {
+            let want = k.eval_parts(dot, nx, ny);
+            match k.exp_form() {
+                Some(ExpForm::SqDist(c)) => assert_eq!((-c * d2).exp(), want, "{}", k.name()),
+                Some(ExpForm::Dist(c)) => assert_eq!((-c * d2.sqrt()).exp(), want, "{}", k.name()),
+                // Only kernels that are not a pure exponential of the
+                // distance may report no form.
+                None => assert!(matches!(k.name(), "matern32" | "polynomial")),
             }
         }
     }

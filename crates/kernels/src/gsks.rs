@@ -9,18 +9,27 @@
 //! the `m x n` block never exists (`O(1)` extra storage), which is the
 //! paper's 3–30x win over the reference for small `d`.
 //!
-//! The paper implements the microkernel in AVX2/AVX512 assembly; here the
-//! tile goes through `kfds_la::simd::gsks_tile_8x4` — an explicit AVX2+FMA
-//! register kernel when the host supports it and `KFDS_SIMD` is not off,
-//! with the pre-existing scalar tile as the reference path (bitwise the
-//! old numerics when SIMD is disabled). In SIMD mode the source panel is
-//! packed **dimension-major** per NR tile so the kernel loads each
-//! dimension's four source values with one vector load, and the kernel
-//! transform of the whole tile is batched through
-//! [`Kernel::eval_parts_many`] (one `vexp` per tile for Gaussian /
-//! Laplacian instead of `MR x NR` scalar `exp` calls).
+//! The paper implements the microkernel in AVX2/AVX512 assembly. Here the
+//! single-RHS [`sum_fused`] dispatches, once per call, in the order
+//! AVX-512 → AVX2 → scalar:
+//!
+//! * **AVX-512, exp-type kernel** (a kernel whose [`Kernel::exp_form`] is
+//!   `Some`: Gaussian, Laplacian) — `kfds_la::simd::gsks_exp_rows_8`, the
+//!   fully fused row kernel: 8 targets against 8-wide dimension-major
+//!   source tiles, with distance, `exp` and the weight FMA in registers;
+//! * **AVX2, or any other kernel** (Matérn, polynomial) — the `8 x 4`
+//!   tile path: `kfds_la::simd::gsks_tile_8x4` forms the dot tile against
+//!   4-wide dimension-major source tiles, and the kernel transform of the
+//!   whole tile is batched through [`Kernel::eval_parts_many`] (one `vexp`
+//!   per tile for Gaussian / Laplacian instead of `MR x NR` scalar `exp`
+//!   calls);
+//! * **`KFDS_SIMD=off` or no AVX2** — the same tile walk with the scalar
+//!   dot tile over point-major sources (bitwise the old numerics).
+//!
+//! [`sum_fused_multi`] always takes the tile path. All packing scratch
+//! comes from `kfds_la::workspace`.
 
-use crate::function::Kernel;
+use crate::function::{ExpForm, Kernel};
 use kfds_la::workspace;
 use kfds_la::{MatMut, MatRef};
 use kfds_tree::PointSet;
@@ -36,7 +45,7 @@ const NR: usize = kfds_la::simd::GSKS_NR;
 struct Packed {
     /// `padded x d`. Point-major (point `i` = `coords[i*d .. (i+1)*d]`)
     /// for target panels and scalar-mode source panels; dimension-major
-    /// per NR tile for SIMD-mode source panels (see
+    /// per source tile for SIMD-mode source panels (see
     /// [`pack_cols_transposed`]).
     coords: workspace::WsVec,
     /// Squared norms, zero-padded.
@@ -65,39 +74,50 @@ fn pack(pts: &PointSet, idx: &[usize], pad_to: usize) -> Packed {
     Packed { coords, norms }
 }
 
-/// SIMD-mode source packing: within each NR-point tile the coordinates are
-/// stored dimension-major (`coords[tile*NR*d + kk*NR + c] = y_c[kk]`), so
-/// the vector kernel loads the tile's four values of dimension `kk` with a
-/// single unaligned load instead of a strided gather. Norms come from one
-/// NR-wide vectorizable accumulation pass over the packed panel.
-fn pack_cols_transposed(pts: &PointSet, idx: &[usize]) -> Packed {
+/// SIMD-mode source packing: within each `width`-point tile the
+/// coordinates are stored dimension-major (`coords[tile*width*d +
+/// kk*width + c] = y_c[kk]`), so the vector kernels load the tile's values
+/// of dimension `kk` with a single unaligned load instead of a strided
+/// gather. Norms come from one `width`-wide vectorizable accumulation pass
+/// over the packed panel.
+fn pack_cols_transposed(pts: &PointSet, idx: &[usize], width: usize) -> Packed {
     let d = pts.dim();
-    let padded = idx.len().next_multiple_of(NR);
+    let padded = idx.len().next_multiple_of(width);
     let mut coords = workspace::take(padded * d);
     let mut norms = workspace::take(padded);
     // Pad slots of a partial last tile interleave with live ones, so zero
     // that whole tile up front before scattering the live points in.
-    if !idx.len().is_multiple_of(NR) {
-        let last_tile = (padded / NR - 1) * NR * d;
+    if !idx.len().is_multiple_of(width) {
+        let last_tile = (padded / width - 1) * width * d;
         coords[last_tile..].fill(0.0);
     }
     for (i, &p) in idx.iter().enumerate() {
-        let base = (i / NR) * NR * d + i % NR;
+        let base = (i / width) * width * d + i % width;
         for (kk, &v) in pts.point(p).iter().enumerate() {
-            coords[base + kk * NR] = v;
+            coords[base + kk * width] = v;
         }
     }
     norms.fill(0.0);
-    for t in 0..padded / NR {
-        let base = t * NR * d;
-        let (nrow, crow) = (&mut norms[t * NR..(t + 1) * NR], &coords[base..base + NR * d]);
+    for t in 0..padded / width {
+        let base = t * width * d;
+        let nrow = &mut norms[t * width..(t + 1) * width];
+        let crow = &coords[base..base + width * d];
         for kk in 0..d {
-            for (nv, &v) in nrow.iter_mut().zip(&crow[kk * NR..kk * NR + NR]) {
+            for (nv, &v) in nrow.iter_mut().zip(&crow[kk * width..(kk + 1) * width]) {
                 *nv += v * v;
             }
         }
     }
     Packed { coords, norms }
+}
+
+/// Copies `u` into pooled scratch zero-padded to `len`, so padded source
+/// columns contribute nothing.
+fn pad_weights(u: &[f64], len: usize) -> workspace::WsVec {
+    let mut upad = workspace::take(len);
+    upad[..u.len()].copy_from_slice(u);
+    upad[u.len()..].fill(0.0);
+    upad
 }
 
 /// Fused kernel summation: `w = K[rows, cols] * u` (overwrites `w`),
@@ -122,16 +142,17 @@ pub fn sum_fused<K: Kernel>(
         w.fill(0.0);
         return;
     }
-    let d = pts.dim();
-    // Dispatch captured once: the packed source layout and the tile kernel
+    // Dispatch captured once: the packed source layout and the kernel
     // must agree for the whole call.
+    if let Some(form) = k.exp_form().filter(|_| kfds_la::simd::avx512_active()) {
+        sum_fused_exp(form, pts, rows, cols, u, w);
+        return;
+    }
+    let d = pts.dim();
     let use_simd = kfds_la::simd::active();
     let rp = pack(pts, rows, MR);
-    let cp = if use_simd { pack_cols_transposed(pts, cols) } else { pack(pts, cols, NR) };
-    // Zero-padded weights so padded source columns contribute nothing.
-    let mut upad = workspace::take(cp.norms.len());
-    upad[..u.len()].copy_from_slice(u);
-    upad[u.len()..].fill(0.0);
+    let cp = if use_simd { pack_cols_transposed(pts, cols, NR) } else { pack(pts, cols, NR) };
+    let upad = pad_weights(u, cp.norms.len());
 
     let n_tiles_c = cp.norms.len() / NR;
     // Parallel over disjoint MR-row chunks of the output.
@@ -176,6 +197,37 @@ pub fn sum_fused<K: Kernel>(
     });
 }
 
+/// The AVX-512 arm of [`sum_fused`] for exp-type kernels: each 8-row
+/// output chunk is one `gsks_exp_rows_8` call over every packed source
+/// tile.
+fn sum_fused_exp(
+    form: ExpForm,
+    pts: &PointSet,
+    rows: &[usize],
+    cols: &[usize],
+    u: &[f64],
+    w: &mut [f64],
+) {
+    const W: usize = kfds_la::simd::GSKS_EXP_W;
+    let d = pts.dim();
+    let rp = pack(pts, rows, W);
+    let cp = pack_cols_transposed(pts, cols, W);
+    let upad = pad_weights(u, cp.norms.len());
+    w.par_chunks_mut(W).enumerate().for_each(|(rt, wchunk)| {
+        let r0 = rt * W;
+        let acc = kfds_la::simd::gsks_exp_rows_8(
+            form,
+            &rp.coords[r0 * d..(r0 + W) * d],
+            &rp.norms[r0..r0 + W],
+            &cp.coords,
+            &cp.norms,
+            &upad,
+            d,
+        );
+        wchunk.copy_from_slice(&acc[..wchunk.len()]);
+    });
+}
+
 /// Fused multi-RHS summation: `W = K[rows, cols] * U` (overwrites `W`),
 /// matrix-free. `U` is `cols.len() x nrhs`, `W` is `rows.len() x nrhs`.
 ///
@@ -204,7 +256,7 @@ pub fn sum_fused_multi<K: Kernel>(
     }
     let use_simd = kfds_la::simd::active();
     let rp = pack(pts, rows, MR);
-    let cp = if use_simd { pack_cols_transposed(pts, cols) } else { pack(pts, cols, NR) };
+    let cp = if use_simd { pack_cols_transposed(pts, cols, NR) } else { pack(pts, cols, NR) };
     let n_tiles_c = cp.norms.len() / NR;
 
     // SIMD mode: transpose U once into source-major layout (`ut[c * nrhs
@@ -352,6 +404,70 @@ mod tests {
                     w1[i],
                     w2[i]
                 );
+            }
+        }
+    }
+
+    /// Delegates to the wrapped kernel but reports no exp form, so
+    /// [`sum_fused`] takes the tile path for it on every host.
+    struct TilePath<K>(K);
+
+    impl<K: Kernel> Kernel for TilePath<K> {
+        fn eval_parts(&self, dot: f64, nx: f64, ny: f64) -> f64 {
+            self.0.eval_parts(dot, nx, ny)
+        }
+        fn eval_parts_many(&self, tile: &mut [f64], nx: &[f64], ny: &[f64]) {
+            self.0.eval_parts_many(tile, nx, ny)
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+    }
+
+    /// `sum_fused` through the kernel's own dispatch (the fused row kernel
+    /// on an AVX-512 host) and through the tile path, both against the
+    /// `sum_reference` oracle.
+    fn check_both_paths<K: Kernel + Copy>(k: K, p: &PointSet, rows: &[usize], cols: &[usize]) {
+        let u: Vec<f64> = (0..cols.len()).map(|i| (i as f64 * 0.41).sin()).collect();
+        let mut want = vec![0.0; rows.len()];
+        sum_reference(&k, p, rows, cols, &u, &mut want);
+        let mut fused = vec![f64::NAN; rows.len()];
+        sum_fused(&k, p, rows, cols, &u, &mut fused);
+        let mut tiled = vec![f64::NAN; rows.len()];
+        sum_fused(&TilePath(k), p, rows, cols, &u, &mut tiled);
+        for (path, got) in [("tile", &tiled), ("fused", &fused)] {
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (g - w).abs() < 1e-11 * (1.0 + w.abs()),
+                    "{} {path} m={} n={} d={} row {i}: {g} vs {w}",
+                    k.name(),
+                    rows.len(),
+                    cols.len(),
+                    p.dim()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exp_kernels_fused_and_tile_paths_match_reference() {
+        for d in [1usize, 3, 8, 64] {
+            let p = pts(160, d, 31 + d as u64);
+            // m and n off the 8-wide tile grid, permuted non-contiguous
+            // index lists, and empty lists. Rows and columns stay disjoint
+            // (as in the hybrid V-apply): at a coincident pair the oracle's
+            // GEMM Gram leaves a ~1e-15 cancellation residual that the
+            // Laplacian's sqrt lifts to ~1e-8.
+            let contiguous: (Vec<usize>, Vec<usize>) = ((0..13).collect(), (13..150).collect());
+            let strided: (Vec<usize>, Vec<usize>) = (
+                (0..21).map(|i| (i * 37 % 80) * 2 + 1).collect(),
+                (0..45).map(|i| (i * 37 % 80) * 2).collect(),
+            );
+            let shapes = [contiguous, strided, (vec![4, 9], vec![]), (vec![], vec![1, 2, 3])];
+            let h = 0.3 * (d as f64).sqrt() + 0.2;
+            for (rows, cols) in &shapes {
+                check_both_paths(Gaussian::new(h), &p, rows, cols);
+                check_both_paths(Laplacian::new(h), &p, rows, cols);
             }
         }
     }

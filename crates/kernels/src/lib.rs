@@ -23,7 +23,7 @@ pub mod gsks;
 pub mod reference;
 
 pub use eval::{eval_block, eval_block_range, eval_blocks, eval_symmetric, BlockSpec};
-pub use function::{Gaussian, Kernel, Laplacian, Matern32, Polynomial};
+pub use function::{ExpForm, Gaussian, Kernel, Laplacian, Matern32, Polynomial};
 pub use gsks::{sum_fused, sum_fused_multi};
 pub use reference::{gather_coords, kernel_block_gemm, sum_reference, sum_reference_multi};
 

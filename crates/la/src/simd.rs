@@ -1,4 +1,5 @@
-//! Explicit-SIMD microkernels with runtime dispatch (AVX2 + FMA).
+//! Explicit-SIMD microkernels with runtime dispatch (AVX-512 → AVX2+FMA →
+//! scalar).
 //!
 //! The paper's single-node performance rests on hand-written AVX2/AVX-512
 //! register-tile kernels (GSKS \[24\], BLIS-style GEMM); the scalar
@@ -11,6 +12,10 @@
 //!   written straight into column-major `C`;
 //! * a fused-summation rank-`d` tile kernel ([`gsks_tile_8x4`]) for the
 //!   GSKS engine (8 targets x 4 sources per register tile);
+//! * the fused exp-kernel row kernel ([`gsks_exp_rows_8`]): 8 targets
+//!   against 8-wide source tiles with the rank-`d` dot, the distance, the
+//!   [`ExpForm`] transform, an in-register `exp` and the weight FMA all in
+//!   `zmm` registers — the `K` tile never reaches memory (paper §II-D);
 //! * GEMV ([`dgemv_add_avx2`]) with 4-column blocking so each `y` vector
 //!   load amortizes four FMA columns;
 //! * dot / axpy vector loops for BLAS-1 ([`dot_avx2`], [`axpy_avx2`]);
@@ -26,6 +31,10 @@
 //! * the CPU must report AVX2 **and** FMA (`is_x86_feature_detected!`);
 //!   on other targets the portable scalar paths are the implementation
 //!   (no unconditional `std::arch::x86_64` imports anywhere);
+//! * where an 8-wide body exists ([`vexp`], [`gsks_exp_rows_8`], the
+//!   transposed GEMV) it is picked ahead of the AVX2 body when the CPU
+//!   also reports `avx512f` ([`avx512_active`]); the order is AVX-512 →
+//!   AVX2 → scalar;
 //! * the `KFDS_SIMD=off` (or `=0`) environment kill-switch — mirroring
 //!   `KFDS_WS_POOL` — forces the scalar reference paths, so
 //!   pooled/unpooled x simd/scalar can be A/B'd in one binary;
@@ -41,7 +50,9 @@
 //! `O(k * eps * sum |terms|)` — the property tests in
 //! `crates/la/tests/props.rs` assert agreement within that envelope.
 //! [`vexp`] deviates from `f64::exp` by at most a few ulp (asserted at
-//! `1e-14` relative); inputs below the normal range flush to zero.
+//! `1e-14` relative); inputs below the normal range flush to zero. The
+//! AVX-512 and AVX2 `exp` bodies share the reduction and the polynomial,
+//! so they agree bitwise wherever the result is a normal double.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
@@ -130,10 +141,18 @@ pub fn detected_features() -> String {
     }
 }
 
+/// `true` if the 8-wide AVX-512 bodies run: the vector kernels are
+/// [`active`] and the CPU reports `avx512f` ([`avx512_supported`]).
+#[inline]
+pub fn avx512_active() -> bool {
+    active() && avx512_supported()
+}
+
 /// Elementwise `exp` over a slice, in place.
 ///
-/// Dispatches to a 4-wide AVX2 polynomial kernel when [`active`]; falls
-/// back to [`f64::exp`] per element otherwise (so `KFDS_SIMD=off` is
+/// Dispatches to an 8-wide AVX-512 polynomial kernel when
+/// [`avx512_active`], to the 4-wide AVX2 one when only [`active`], and
+/// falls back to [`f64::exp`] per element otherwise (so `KFDS_SIMD=off` is
 /// bitwise the scalar libm path).
 ///
 /// Vector-path accuracy: relative error vs [`f64::exp`] is a few ulp
@@ -143,6 +162,11 @@ pub fn detected_features() -> String {
 pub fn vexp(xs: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
     {
+        if avx512_active() {
+            // SAFETY: avx512_active() implies AVX-512F support.
+            unsafe { x86::vexp_avx512(xs) };
+            return;
+        }
         if active() {
             // SAFETY: active() implies AVX2+FMA support.
             unsafe { x86::vexp_avx2(xs) };
@@ -187,6 +211,98 @@ pub fn gsks_tile_8x4(xr: &[f64], yct: &[f64], d: usize, out: &mut [f64; GSKS_MR 
             }
         }
     }
+}
+
+/// An exponential kernel transform of the Euclidean distance, the shape
+/// the fused row kernel [`gsks_exp_rows_8`] evaluates in registers.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ExpForm {
+    /// `exp(−c·‖x−y‖²)` — the Gaussian kernel.
+    SqDist(f64),
+    /// `exp(−c·‖x−y‖)` — the Laplacian kernel.
+    Dist(f64),
+}
+
+/// Fused exp-kernel row kernel width: targets per call and sources per
+/// packed tile.
+pub const GSKS_EXP_W: usize = 8;
+
+/// The fused GSKS row kernel for exp-type kernels:
+/// `out[r] = Σ_c K(x_r, y_c) u[c]` with `K` given by `form`, for the
+/// [`GSKS_EXP_W`] targets `xr` (point-major, point `r` at
+/// `xr[r*d..(r+1)*d]`, squared norms `xn`) against every packed source
+/// tile. Sources come as 8-wide **dimension-major** tiles
+/// (`yct[t*8*d + kk*8 + c] = y_{8t+c}[kk]`), squared norms `yn` and
+/// weights `u`, both `8 x tiles` long (zero-padded: a padded source must
+/// carry weight 0).
+///
+/// Per tile the AVX-512 body does the rank-`d` dot, the clamped distance
+/// `max(‖x‖²+‖y‖²−2x·y, 0)`, the optional `sqrt`, the scale, an 8-wide
+/// `exp` and the FMA against the weights without the `K` tile leaving
+/// registers. It runs when [`avx512_active`]; the portable loop over the
+/// same layout is the fallback on every other host, and keeps the call
+/// correct if SIMD is switched off between a caller's dispatch check and
+/// this call.
+///
+/// # Panics
+/// Panics if `d == 0`, if `yn.len()` is not a multiple of 8, or if a slice
+/// is shorter than the layout requires.
+pub fn gsks_exp_rows_8(
+    form: ExpForm,
+    xr: &[f64],
+    xn: &[f64],
+    yct: &[f64],
+    yn: &[f64],
+    u: &[f64],
+    d: usize,
+) -> [f64; GSKS_EXP_W] {
+    const W: usize = GSKS_EXP_W;
+    assert!(d > 0, "gsks_exp_rows_8: zero dimension");
+    assert!(xr.len() >= W * d && xn.len() >= W, "gsks_exp_rows_8: targets too short");
+    assert!(yn.len().is_multiple_of(W), "gsks_exp_rows_8: sources not tile-padded");
+    assert!(yct.len() >= yn.len() * d && u.len() >= yn.len(), "gsks_exp_rows_8: sources too short");
+    let tiles = yn.len() / W;
+    let mut out = [0.0; W];
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx512_active() {
+            let (xr, xn, yct, yn, u) =
+                (xr.as_ptr(), xn.as_ptr(), yct.as_ptr(), yn.as_ptr(), u.as_ptr());
+            // SAFETY: avx512_active() implies AVX-512F; the asserts above
+            // cover 8*d target coordinates, 8 target norms, and 8*d
+            // coordinates plus 8 norms and weights per source tile.
+            unsafe {
+                match form {
+                    ExpForm::SqDist(c) => x86::gsks_exp_rows_avx512::<false>(
+                        -c, xr, xn, yct, yn, u, tiles, d, &mut out,
+                    ),
+                    ExpForm::Dist(c) => x86::gsks_exp_rows_avx512::<true>(
+                        -c, xr, xn, yct, yn, u, tiles, d, &mut out,
+                    ),
+                }
+            }
+            return out;
+        }
+    }
+    let (neg_c, sqrt) = match form {
+        ExpForm::SqDist(c) => (-c, false),
+        ExpForm::Dist(c) => (-c, true),
+    };
+    for t in 0..tiles {
+        let tile = &yct[t * W * d..(t + 1) * W * d];
+        for (r, o) in out.iter_mut().enumerate() {
+            for c in 0..W {
+                let mut dot = 0.0;
+                for kk in 0..d {
+                    dot += xr[r * d + kk] * tile[kk * W + c];
+                }
+                let d2 = (xn[r] + yn[t * W + c] - 2.0 * dot).max(0.0);
+                let dist = if sqrt { d2.sqrt() } else { d2 };
+                *o += (dist * neg_c).exp() * u[t * W + c];
+            }
+        }
+    }
+    out
 }
 
 /// The GSKS multi-RHS contraction: `W[r, t] += sum_c tile[r, c] * ut[c, t]`
@@ -770,6 +886,92 @@ mod x86 {
         }
     }
 
+    /// In-place 8-wide `exp` (see [`super::vexp`] for the contract); the
+    /// tail goes through a masked load/store instead of a stack copy.
+    ///
+    /// # Safety
+    /// Requires AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn vexp_avx512(xs: &mut [f64]) {
+        debug_assert!(super::avx512_supported(), "vexp_avx512 needs AVX-512F");
+        let n = xs.len();
+        let p = xs.as_mut_ptr();
+        let mut i = 0;
+        while i + 8 <= n {
+            _mm512_storeu_pd(p.add(i), exp8([_mm512_loadu_pd(p.add(i))])[0]);
+            i += 8;
+        }
+        if i < n {
+            let mask: __mmask8 = (1u8 << (n - i)) - 1;
+            let [v] = exp8([_mm512_maskz_loadu_pd(mask, p.add(i))]);
+            _mm512_mask_storeu_pd(p.add(i), mask, v);
+        }
+    }
+
+    /// The fused exp-kernel row kernel (see [`super::gsks_exp_rows_8`]):
+    /// per 8-wide source tile, eight rank-`d` dot accumulators (one per
+    /// target row, one source per lane), then per row the clamped
+    /// distance, `sqrt` when `SQRT`, the scale `neg_c`, the `exp` (four
+    /// rows in lockstep through [`exp8`]) and an FMA into that row's
+    /// weight accumulator. Lanes are reduced once at the end.
+    ///
+    /// # Safety
+    /// Requires AVX-512F. `xr` must hold `8*d` and `xn` 8 elements; `yct`
+    /// `tiles*8*d`, `yn` and `u` `tiles*8` elements each.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gsks_exp_rows_avx512<const SQRT: bool>(
+        neg_c: f64,
+        xr: *const f64,
+        xn: *const f64,
+        yct: *const f64,
+        yn: *const f64,
+        u: *const f64,
+        tiles: usize,
+        d: usize,
+        out: &mut [f64; 8],
+    ) {
+        debug_assert!(super::avx512_supported(), "gsks_exp_rows_avx512 needs AVX-512F");
+        debug_assert!(d > 0, "zero dimension");
+        debug_assert!(![xr, xn, yct, yn, u].iter().any(|p| p.is_null()));
+        // Rows per lockstep `exp`: on the 128 x 16384, d = 8 GSKS bench
+        // 4 ran ~15 % faster than 1 row at a time and ~5 % faster than 8.
+        const GROUP: usize = 4;
+        let vc = _mm512_set1_pd(neg_c);
+        let two = _mm512_set1_pd(2.0);
+        let zero = _mm512_setzero_pd();
+        let mut acc = [zero; 8];
+        for t in 0..tiles {
+            let yt = yct.add(t * 8 * d);
+            let mut dots = [zero; 8];
+            for kk in 0..d {
+                let yv = _mm512_loadu_pd(yt.add(8 * kk));
+                for (r, dr) in dots.iter_mut().enumerate() {
+                    *dr = _mm512_fmadd_pd(_mm512_set1_pd(*xr.add(r * d + kk)), yv, *dr);
+                }
+            }
+            let ynv = _mm512_loadu_pd(yn.add(8 * t));
+            let uv = _mm512_loadu_pd(u.add(8 * t));
+            for h in 0..8 / GROUP {
+                let mut arg = [zero; GROUP];
+                for (j, a) in arg.iter_mut().enumerate() {
+                    let r = h * GROUP + j;
+                    let norms = _mm512_add_pd(_mm512_set1_pd(*xn.add(r)), ynv);
+                    let d2 = _mm512_max_pd(_mm512_fnmadd_pd(dots[r], two, norms), zero);
+                    let dist = if SQRT { _mm512_sqrt_pd(d2) } else { d2 };
+                    *a = _mm512_mul_pd(dist, vc);
+                }
+                for (j, kv) in exp8(arg).into_iter().enumerate() {
+                    let r = h * GROUP + j;
+                    acc[r] = _mm512_fmadd_pd(kv, uv, acc[r]);
+                }
+            }
+        }
+        for (o, a) in out.iter_mut().zip(&acc) {
+            *o = _mm512_reduce_add_pd(*a);
+        }
+    }
+
     /// Largest input for which `exp` is finite.
     const EXP_HI: f64 = 709.782712893384;
     /// Smallest input for which `exp` is a normal double; below this the
@@ -782,6 +984,74 @@ mod x86 {
     /// low mantissa bits of `n + MAGIC` hold `n` as a two's-complement
     /// integer.
     const MAGIC: f64 = 6755399441055744.0;
+
+    /// Taylor coefficients `1/k!` for `k = 12` down to `0`, the Horner
+    /// steps after the leading `1/13!` of the `exp` polynomial.
+    const EXP_TAYLOR: [f64; 13] = [
+        2.08767569878681e-9,
+        2.505210838544172e-8,
+        2.755731922398589e-7,
+        2.755731922398589e-6,
+        2.48015873015873e-5,
+        1.984126984126984e-4,
+        1.388888888888889e-3,
+        8.333333333333333e-3,
+        4.1666666666666664e-2,
+        1.6666666666666666e-1,
+        0.5,
+        1.0,
+        1.0,
+    ];
+    /// `1/13!`, the leading Taylor coefficient.
+    const EXP_TAYLOR_LEAD: f64 = 1.6059043836821613e-10;
+
+    /// 8-wide `exp` over `N` independent vectors in lockstep, so the `N`
+    /// Horner chains overlap instead of each waiting out its own FMA
+    /// latency. The argument reduction and polynomial are those of
+    /// [`exp4`]; `2^n` is rebuilt by `scalef` (one exact scaling over the
+    /// whole exponent range, so no split is needed near overflow). Mask
+    /// blends keep the [`super::vexp`] contract: flush below `EXP_LO`,
+    /// `+inf` above `EXP_HI`, NaN propagates.
+    ///
+    /// # Safety
+    /// `#[target_feature]`: the caller must have verified AVX-512F support.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn exp8<const N: usize>(x: [__m512d; N]) -> [__m512d; N] {
+        let n = x.map(|v| {
+            _mm512_roundscale_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+                _mm512_mul_pd(v, _mm512_set1_pd(std::f64::consts::LOG2_E)),
+            )
+        });
+        let mut r = [_mm512_setzero_pd(); N];
+        for j in 0..N {
+            r[j] = _mm512_fnmadd_pd(n[j], _mm512_set1_pd(LN2_HI), x[j]);
+            r[j] = _mm512_fnmadd_pd(n[j], _mm512_set1_pd(LN2_LO), r[j]);
+        }
+        let mut p = [_mm512_set1_pd(EXP_TAYLOR_LEAD); N];
+        for c in EXP_TAYLOR {
+            for j in 0..N {
+                p[j] = _mm512_fmadd_pd(p[j], r[j], _mm512_set1_pd(c));
+            }
+        }
+        let mut out = [_mm512_setzero_pd(); N];
+        for j in 0..N {
+            let res = _mm512_scalef_pd(p[j], n[j]);
+            let res = _mm512_mask_blend_pd(
+                _mm512_cmp_pd_mask::<_CMP_LT_OQ>(x[j], _mm512_set1_pd(EXP_LO)),
+                res,
+                _mm512_setzero_pd(),
+            );
+            let res = _mm512_mask_blend_pd(
+                _mm512_cmp_pd_mask::<_CMP_GT_OQ>(x[j], _mm512_set1_pd(EXP_HI)),
+                res,
+                _mm512_set1_pd(f64::INFINITY),
+            );
+            out[j] =
+                _mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_UNORD_Q>(x[j], x[j]), res, x[j]);
+        }
+        out
+    }
 
     /// 4-wide `exp`: round-to-nearest power-of-two argument reduction
     /// `x = n ln2 + r`, |r| <= ln2/2, degree-13 Taylor polynomial (Horner,
@@ -799,23 +1069,8 @@ mod x86 {
         );
         let r = _mm256_fnmadd_pd(n, _mm256_set1_pd(LN2_HI), x);
         let r = _mm256_fnmadd_pd(n, _mm256_set1_pd(LN2_LO), r);
-        // Taylor coefficients 1/k!, k = 13 down to 0.
-        let mut p = _mm256_set1_pd(1.6059043836821613e-10);
-        for c in [
-            2.08767569878681e-9,
-            2.505210838544172e-8,
-            2.755731922398589e-7,
-            2.755731922398589e-6,
-            2.48015873015873e-5,
-            1.984126984126984e-4,
-            1.388888888888889e-3,
-            8.333333333333333e-3,
-            4.1666666666666664e-2,
-            1.6666666666666666e-1,
-            0.5,
-            1.0,
-            1.0,
-        ] {
+        let mut p = _mm256_set1_pd(EXP_TAYLOR_LEAD);
+        for c in EXP_TAYLOR {
             p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(c));
         }
         // 2^n in two steps, n = n1 + n2 with n1 ~ n/2: near the overflow
@@ -867,42 +1122,147 @@ mod tests {
         assert!(!feats.is_empty());
     }
 
-    #[test]
-    fn vexp_matches_std_exp() {
-        // Deterministic sweep over the argument ranges the kernels produce
-        // (Gaussian: non-positive; general: both signs), plus tile-odd
-        // lengths to exercise the masked tail.
+    /// An in-place elementwise `exp` over a slice.
+    type ExpBody = fn(&mut [f64]);
+
+    /// Every `exp` body this host runs: the dispatched [`vexp`], plus the
+    /// AVX2 and AVX-512 bodies called directly behind their CPU checks, so
+    /// the AVX2 body stays tested on an AVX-512 host.
+    fn exp_bodies() -> Vec<(&'static str, ExpBody)> {
+        let mut out: Vec<(&'static str, ExpBody)> = vec![("vexp", vexp)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if cpu_supported() {
+                // SAFETY: only pushed after the AVX2+FMA check.
+                out.push(("avx2", |xs| unsafe { x86::vexp_avx2(xs) }));
+            }
+            if avx512_supported() {
+                // SAFETY: only pushed after the AVX-512F check.
+                out.push(("avx512", |xs| unsafe { x86::vexp_avx512(xs) }));
+            }
+        }
+        out
+    }
+
+    /// Deterministic sweep over the argument ranges the kernels produce
+    /// (Gaussian: non-positive; general: both signs); the odd length
+    /// exercises both vector tails.
+    fn exp_sweep() -> Vec<f64> {
         let mut state = 0x9e3779b97f4a7c15u64;
-        let mut xs: Vec<f64> = (0..1021)
+        (0..1021)
             .map(|_| {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 ((state >> 11) as f64 / (1u64 << 53) as f64) * 1400.0 - 700.0
             })
-            .collect();
-        let want: Vec<f64> = xs.iter().map(|v| v.exp()).collect();
-        vexp(&mut xs);
-        for (i, (got, want)) in xs.iter().zip(&want).enumerate() {
-            assert!(
-                (got - want).abs() <= 1e-14 * want.abs(),
-                "element {i}: {got} vs {want} (rel {})",
-                (got - want).abs() / want.abs()
-            );
+            .collect()
+    }
+
+    #[test]
+    fn vexp_matches_std_exp() {
+        let want: Vec<f64> = exp_sweep().iter().map(|v| v.exp()).collect();
+        for (name, body) in exp_bodies() {
+            let mut xs = exp_sweep();
+            body(&mut xs);
+            for (i, (got, want)) in xs.iter().zip(&want).enumerate() {
+                assert!(
+                    (got - want).abs() <= 1e-14 * want.abs(),
+                    "{name} element {i}: {got} vs {want} (rel {})",
+                    (got - want).abs() / want.abs()
+                );
+            }
         }
     }
 
     #[test]
     fn vexp_special_values() {
-        let mut xs = [0.0, f64::NEG_INFINITY, f64::INFINITY, f64::NAN, -1000.0, 1000.0, -710.0];
-        vexp(&mut xs);
-        assert_eq!(xs[0], 1.0);
-        assert_eq!(xs[1], 0.0);
-        assert_eq!(xs[2], f64::INFINITY);
-        assert!(xs[3].is_nan());
-        assert_eq!(xs[4], 0.0);
-        assert_eq!(xs[5], f64::INFINITY);
-        // Subnormal range flushes to zero in the vector path; scalar path
-        // returns the subnormal. Either way the absolute error is tiny.
-        assert!(xs[6].abs() < 2.5e-308);
+        for (name, body) in exp_bodies() {
+            let mut xs = [0.0, f64::NEG_INFINITY, f64::INFINITY, f64::NAN, -1000.0, 1000.0, -710.0];
+            body(&mut xs);
+            assert_eq!(xs[0], 1.0, "{name}");
+            assert_eq!(xs[1], 0.0, "{name}");
+            assert_eq!(xs[2], f64::INFINITY, "{name}");
+            assert!(xs[3].is_nan(), "{name}");
+            assert_eq!(xs[4], 0.0, "{name}");
+            assert_eq!(xs[5], f64::INFINITY, "{name}");
+            // Subnormal range flushes to zero in the vector paths; the
+            // scalar path returns the subnormal. Either way the absolute
+            // error is tiny.
+            assert!(xs[6].abs() < 2.5e-308, "{name}");
+            // Near overflow: finite where libm is finite.
+            let mut hi = [709.5, 709.78];
+            body(&mut hi);
+            assert!(hi.iter().all(|v| v.is_finite()), "{name}: {hi:?}");
+        }
+    }
+
+    #[test]
+    fn vexp_vector_bodies_agree_bitwise() {
+        // Same reduction and polynomial; scalef and the two-step power of
+        // two both scale exactly while the result is a normal double.
+        let bodies = exp_bodies();
+        let mut reference: Option<Vec<f64>> = None;
+        for (name, body) in bodies.iter().filter(|(n, _)| *n != "vexp") {
+            let mut xs = exp_sweep();
+            body(&mut xs);
+            match &reference {
+                None => reference = Some(xs),
+                Some(r) => assert!(
+                    r.iter().zip(&xs).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{name} differs from the first vector body"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn gsks_exp_rows_matches_naive() {
+        const W: usize = GSKS_EXP_W;
+        let mut state = 0x5851f42d4c957f2du64;
+        let mut rnd = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        for form in [ExpForm::SqDist(0.8), ExpForm::Dist(1.3)] {
+            for d in [1usize, 3, 8, 13] {
+                for tiles in [0usize, 1, 3] {
+                    let xr: Vec<f64> = (0..W * d).map(|_| rnd()).collect();
+                    let ys: Vec<f64> = (0..W * tiles * d).map(|_| rnd()).collect();
+                    let u: Vec<f64> = (0..W * tiles).map(|_| rnd()).collect();
+                    let xn: Vec<f64> = (0..W)
+                        .map(|r| xr[r * d..(r + 1) * d].iter().map(|v| v * v).sum())
+                        .collect();
+                    let yn: Vec<f64> = (0..W * tiles)
+                        .map(|c| ys[c * d..(c + 1) * d].iter().map(|v| v * v).sum())
+                        .collect();
+                    // Dimension-major 8-wide tiles.
+                    let mut yct = vec![0.0; ys.len()];
+                    for c in 0..W * tiles {
+                        for kk in 0..d {
+                            yct[(c / W) * W * d + kk * W + c % W] = ys[c * d + kk];
+                        }
+                    }
+                    let got = gsks_exp_rows_8(form, &xr, &xn, &yct, &yn, &u, d);
+                    for (r, g) in got.iter().enumerate() {
+                        let want: f64 = (0..W * tiles)
+                            .map(|c| {
+                                let d2: f64 = (0..d)
+                                    .map(|kk| (xr[r * d + kk] - ys[c * d + kk]).powi(2))
+                                    .sum();
+                                let v = match form {
+                                    ExpForm::SqDist(k) => (-k * d2).exp(),
+                                    ExpForm::Dist(k) => (-k * d2.sqrt()).exp(),
+                                };
+                                v * u[c]
+                            })
+                            .sum();
+                        assert!(
+                            (g - want).abs() < 1e-13 * (1.0 + want.abs()),
+                            "{form:?} d={d} tiles={tiles} row {r}: {g} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
