@@ -30,6 +30,7 @@ use kfds_askit::SkeletonTree;
 use kfds_kernels::{eval_block_range, eval_blocks, eval_symmetric, flops, BlockSpec, Kernel};
 use kfds_la::Mat;
 use rayon::prelude::*;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The λ-independent kernel blocks cached for one tree node.
@@ -39,9 +40,12 @@ pub struct NodeBlocks {
     /// leaves in the factored region.
     pub kaa: Option<Mat>,
     /// `K_{l̃ r}` (`s_l x |r|`) for internal nodes in the factored region.
-    pub k_lr: Option<Mat>,
-    /// `K_{r̃ l}` (`s_r x |l|`) for internal nodes in the factored region.
-    pub k_rl: Option<Mat>,
+    /// Shared: a stored-mode factor built from this store holds the same
+    /// `Arc` as its `V` block.
+    pub k_lr: Option<Arc<Mat>>,
+    /// `K_{r̃ l}` (`s_r x |l|`) for internal nodes in the factored region
+    /// (shared like [`NodeBlocks::k_lr`]).
+    pub k_rl: Option<Arc<Mat>>,
 }
 
 /// Assembly diagnostics, the λ-independent half of what
@@ -146,7 +150,11 @@ pub fn assemble_blocks<K: Kernel>(st: &SkeletonTree, kernel: &K) -> AssembledBlo
                             eval_block_range(kernel, pts, &skl.skeleton, tree.node(r).range());
                         let k_rl =
                             eval_block_range(kernel, pts, &skr.skeleton, tree.node(l).range());
-                        NodeBlocks { kaa: None, k_lr: Some(k_lr), k_rl: Some(k_rl) }
+                        NodeBlocks {
+                            kaa: None,
+                            k_lr: Some(Arc::new(k_lr)),
+                            k_rl: Some(Arc::new(k_rl)),
+                        }
                     }
                 }
             })
@@ -156,7 +164,7 @@ pub fn assemble_blocks<K: Kernel>(st: &SkeletonTree, kernel: &K) -> AssembledBlo
     let mut kernel_flops = 0.0;
     let mut bytes = 0usize;
     for nb in &nodes {
-        for blk in [&nb.kaa, &nb.k_lr, &nb.k_rl].into_iter().flatten() {
+        for blk in [nb.kaa.as_ref(), nb.k_lr.as_deref(), nb.k_rl.as_deref()].into_iter().flatten() {
             kernel_flops += flops::summation_flops(blk.nrows(), blk.ncols(), d, per_eval)
                 - 2.0 * (blk.nrows() * blk.ncols()) as f64; // evaluation only, no reduction
             bytes += blk.nrows() * blk.ncols() * 8;
@@ -220,8 +228,8 @@ fn assemble_level_batched<K: Kernel>(
             match tree.node(i).children {
                 None => nodes[i].kaa = Some(it.next().expect("kaa block")),
                 Some(_) => {
-                    nodes[i].k_lr = Some(it.next().expect("k_lr block"));
-                    nodes[i].k_rl = Some(it.next().expect("k_rl block"));
+                    nodes[i].k_lr = Some(Arc::new(it.next().expect("k_lr block")));
+                    nodes[i].k_rl = Some(Arc::new(it.next().expect("k_rl block")));
                 }
             }
         }

@@ -127,7 +127,11 @@ pub struct FactorStats {
     pub unstable_factorizations: usize,
     /// Largest skeleton rank encountered.
     pub max_rank: usize,
-    /// Bytes held by the factors (LUs, P̂, Z, stored V blocks).
+    /// Bytes held by the factors (LUs, P̂, Z, stored V blocks). A stored
+    /// `V` block counts in full even when it is shared with the assembly
+    /// store and with other refactors of it (see
+    /// [`crate::NodeFactors::v_lr`]), so the figure is the factor's
+    /// footprint, not its share of resident memory.
     pub stored_bytes: usize,
     /// Per-level breakdown, root-last (the sweep runs bottom-up). Empty
     /// levels are omitted; builders that are not level-synchronous (the

@@ -15,7 +15,7 @@
 //! over the `O(N log² N)` scheme of \[36\] (implemented in
 //! [`crate::baseline`] for the Table III comparison).
 
-use crate::assemble::{assemble_blocks, AssembledBlocks};
+use crate::assemble::{assemble_blocks, AssembledBlocks, NodeBlocks};
 use crate::config::{
     FactorStats, LeafFactorization, LevelStats, SolverConfig, StorageMode, WStorage,
 };
@@ -80,9 +80,12 @@ pub struct NodeFactors {
     /// skeletonized nodes.
     pub p_hat: Option<Mat>,
     /// Stored `K_{l̃ r}` (`s_l x |r|`) — [`StorageMode::StoredGemv`] only.
-    pub v_lr: Option<Mat>,
-    /// Stored `K_{r̃ l}` (`s_r x |l|`) — [`StorageMode::StoredGemv`] only.
-    pub v_rl: Option<Mat>,
+    /// λ-independent, so a refactor shares the assembly store's block
+    /// ([`crate::NodeBlocks::k_lr`]) instead of copying it.
+    pub v_lr: Option<Arc<Mat>>,
+    /// Stored `K_{r̃ l}` (`s_r x |l|`) — [`StorageMode::StoredGemv`] only;
+    /// shared like [`NodeFactors::v_lr`].
+    pub v_rl: Option<Arc<Mat>>,
     /// Coupling blocks `B_l = K_{l̃r}P̂_{rr̃}`, `B_r = K_{r̃l}P̂_{ll̃}`
     /// (small, `s x s`) — retained in [`WStorage::Recompute`] so `P̂`
     /// applications can telescope through eq. (10) without storing `P̂`.
@@ -551,8 +554,8 @@ pub(crate) struct ReducedSystem {
     pub b_l: Mat,
     pub b_r: Mat,
     pub z_lu: Lu,
-    pub v_lr: Option<Mat>,
-    pub v_rl: Option<Mat>,
+    pub v_lr: Option<Arc<Mat>>,
+    pub v_rl: Option<Arc<Mat>>,
     pub cost: NodeCost,
 }
 
@@ -640,8 +643,8 @@ pub(crate) fn build_reduced_system<K: Kernel>(
 
 /// Materializes the stored-mode coupling blocks `K_{l̃ r}` / `K_{r̃ l}`.
 /// Refactor path: the cached λ-independent coupling blocks are exactly
-/// the stored V blocks — copy them out of the assembly store (pooled)
-/// instead of re-evaluating the kernel. Fresh path: the sibling columns
+/// the stored V blocks — share the assembly store's `Arc`s instead of
+/// re-evaluating the kernel or copying. Fresh path: the sibling columns
 /// are contiguous permuted ranges, streamed straight off the point set.
 /// Identical bits.
 pub(crate) fn stored_coupling<K: Kernel>(
@@ -651,20 +654,19 @@ pub(crate) fn stored_coupling<K: Kernel>(
     node: usize,
     l: usize,
     r: usize,
-) -> (Mat, Mat) {
+) -> (Arc<Mat>, Arc<Mat>) {
     let tree = st.tree();
     let pts = tree.points();
     let skl = st.skeleton(l).expect("factorable node needs skeletonized children");
     let skr = st.skeleton(r).expect("factorable node needs skeletonized children");
     let cached = blocks.map(|b| b.node(node));
     match cached {
-        Some(nb) if nb.k_lr.is_some() && nb.k_rl.is_some() => (
-            workspace::mat_from_view(nb.k_lr.as_ref().expect("checked").rb()),
-            workspace::mat_from_view(nb.k_rl.as_ref().expect("checked").rb()),
-        ),
+        Some(NodeBlocks { k_lr: Some(klr), k_rl: Some(krl), .. }) => {
+            (Arc::clone(klr), Arc::clone(krl))
+        }
         _ => (
-            eval_block_range(kernel, pts, &skl.skeleton, tree.node(r).range()),
-            eval_block_range(kernel, pts, &skr.skeleton, tree.node(l).range()),
+            Arc::new(eval_block_range(kernel, pts, &skl.skeleton, tree.node(r).range())),
+            Arc::new(eval_block_range(kernel, pts, &skr.skeleton, tree.node(l).range())),
         ),
     }
 }

@@ -194,7 +194,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// [`SolverError::DimensionMismatch`] if `b` does not have one entry
     /// per point.
     pub fn solve(&self, b: &[f64], opts: &GmresOptions) -> Result<HybridOutcome, SolverError> {
-        let n = self.check_rows(b.len())?;
+        let n = self.ft.check_rows(b.len())?;
         // v = D^{-1} u.
         let mut v = b.to_vec();
         self.apply_dinv(&mut v);
@@ -359,7 +359,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         b: &mut Mat,
         opts: &GmresOptions,
     ) -> Result<Vec<SolveResult>, SolverError> {
-        let n = self.check_rows(b.nrows())?;
+        let n = self.ft.check_rows(b.nrows())?;
         let nrhs = b.ncols();
         // V_mat = D^{-1} B, blocked over the frontier.
         self.apply_dinv_mat(b);
@@ -398,17 +398,6 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         Ok(results)
     }
 
-    /// The number of points `n`, or [`SolverError::DimensionMismatch`]
-    /// if a right-hand side with `rows` rows does not match it.
-    fn check_rows(&self, rows: usize) -> Result<usize, SolverError> {
-        let n = self.ft.skeleton_tree().tree().points().len();
-        if rows == n {
-            Ok(n)
-        } else {
-            Err(SolverError::DimensionMismatch { expected: n, got: rows })
-        }
-    }
-
     /// Convenience wrapper: right-hand side and solution in *original*
     /// point order.
     ///
@@ -420,7 +409,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         opts: &GmresOptions,
     ) -> Result<HybridOutcome, SolverError> {
         let tree = self.ft.skeleton_tree().tree();
-        self.check_rows(b.len())?;
+        self.ft.check_rows(b.len())?;
         let bp = tree.permute_vec(b);
         let mut out = self.solve(&bp, opts)?;
         out.x = tree.unpermute_vec(&out.x);

@@ -26,7 +26,7 @@
 //! `KFDS_BATCH=off`. Property tests in `tests/batch_equiv.rs` enforce
 //! this.
 
-use crate::assemble::AssembledBlocks;
+use crate::assemble::{AssembledBlocks, NodeBlocks};
 use crate::config::{SolverConfig, StorageMode, WStorage};
 use crate::error::SolverError;
 use crate::factor::{self, LeafFactor, NodeCost, NodeFactors, NodeResult};
@@ -35,6 +35,7 @@ use kfds_kernels::{eval_blocks, flops, BlockSpec, Kernel};
 use kfds_la::batch::{Arena, BatchPlan, FactorRef};
 use kfds_la::{group_by_shape, workspace, Lu, Mat, MatRef, Trans};
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// Executes one level of the factorization with planned, shape-grouped
 /// launches. Returns per-node results in `level_nodes` order plus the
@@ -300,8 +301,8 @@ struct IntState {
     zdim: usize,
     s: usize,
     has_sk: bool,
-    klr: Option<Mat>,
-    krl: Option<Mat>,
+    klr: Option<Arc<Mat>>,
+    krl: Option<Arc<Mat>>,
     b_l: Option<Mat>,
     b_r: Option<Mat>,
     z_lu: Option<Lu>,
@@ -363,15 +364,16 @@ fn run_internals_stored<K: Kernel>(
         })
         .collect();
 
-    // Stage 1 — coupling blocks K_{l̃r} / K_{r̃l}: cached pooled copies
-    // on the refactor path, one batched kernel launch per shape group for
-    // the rest. Identical bits to per-node `stored_coupling`.
+    // Stage 1 — coupling blocks K_{l̃r} / K_{r̃l}: the assembly store's
+    // shared blocks on the refactor path, one batched kernel launch per
+    // shape group for the rest. Identical bits to per-node
+    // `stored_coupling`.
     let mut fresh: Vec<usize> = Vec::with_capacity(states.len());
     for (k, is) in states.iter_mut().enumerate() {
         match blocks.map(|b| b.node(is.node)) {
-            Some(nb) if nb.k_lr.is_some() && nb.k_rl.is_some() => {
-                is.klr = Some(workspace::mat_from_view(nb.k_lr.as_ref().expect("checked").rb()));
-                is.krl = Some(workspace::mat_from_view(nb.k_rl.as_ref().expect("checked").rb()));
+            Some(NodeBlocks { k_lr: Some(klr), k_rl: Some(krl), .. }) => {
+                is.klr = Some(Arc::clone(klr));
+                is.krl = Some(Arc::clone(krl));
             }
             _ => fresh.push(k),
         }
@@ -395,8 +397,8 @@ fn run_internals_stored<K: Kernel>(
         groups += g;
         let mut it = mats.into_iter();
         for &k in &fresh {
-            states[k].klr = Some(it.next().expect("klr block"));
-            states[k].krl = Some(it.next().expect("krl block"));
+            states[k].klr = Some(Arc::new(it.next().expect("klr block")));
+            states[k].krl = Some(Arc::new(it.next().expect("krl block")));
         }
     }
 

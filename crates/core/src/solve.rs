@@ -38,11 +38,13 @@ impl<K: Kernel> FactorTree<'_, K> {
     /// ordering), using the complete direct factorization.
     ///
     /// # Errors
-    /// Returns [`SolverError::NotSkeletonized`] if the factorization is
-    /// partial (level restriction) — use the hybrid solver then.
+    /// Returns [`SolverError::DimensionMismatch`] if `b` does not have one
+    /// entry per point, and [`SolverError::NotSkeletonized`] if the
+    /// factorization is partial (level restriction) — use the hybrid
+    /// solver then.
     pub fn solve_in_place(&self, b: &mut [f64]) -> Result<(), SolverError> {
         let tree = self.st.tree();
-        assert_eq!(b.len(), tree.points().len(), "solve: rhs length mismatch");
+        self.check_rows(b.len())?;
         if !self.is_complete() {
             return Err(SolverError::NotSkeletonized { node: tree.root() });
         }
@@ -52,9 +54,12 @@ impl<K: Kernel> FactorTree<'_, K> {
 
     /// Solves `(λI + K̃) X = B` in place for a multi-column right-hand
     /// side.
+    ///
+    /// # Errors
+    /// As [`Self::solve_in_place`], with `B`'s row count checked.
     pub fn solve_mat_in_place(&self, b: &mut Mat) -> Result<(), SolverError> {
         let tree = self.st.tree();
-        assert_eq!(b.nrows(), tree.points().len(), "solve: rhs rows mismatch");
+        self.check_rows(b.nrows())?;
         if !self.is_complete() {
             return Err(SolverError::NotSkeletonized { node: tree.root() });
         }
@@ -66,11 +71,26 @@ impl<K: Kernel> FactorTree<'_, K> {
 
     /// Convenience wrapper: solve with a right-hand side in *original*
     /// point order, returning the solution in original order.
+    ///
+    /// # Errors
+    /// As [`Self::solve_in_place`].
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolverError> {
         let tree = self.st.tree();
+        self.check_rows(b.len())?;
         let mut bp = tree.permute_vec(b);
         self.solve_in_place(&mut bp)?;
         Ok(tree.unpermute_vec(&bp))
+    }
+
+    /// The number of points `n`, or [`SolverError::DimensionMismatch`]
+    /// if a right-hand side with `rows` rows does not match it.
+    pub(crate) fn check_rows(&self, rows: usize) -> Result<usize, SolverError> {
+        let n = self.st.tree().points().len();
+        if rows == n {
+            Ok(n)
+        } else {
+            Err(SolverError::DimensionMismatch { expected: n, got: rows })
+        }
     }
 }
 

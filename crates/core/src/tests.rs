@@ -243,6 +243,32 @@ fn hybrid_rejects_wrong_length_rhs() {
 }
 
 #[test]
+fn direct_solve_rejects_wrong_length_rhs() {
+    let (st, kernel) = fixture(1, 1e-5);
+    let cfg = SolverConfig::default().with_lambda(0.8);
+    let ft = factorize(&st, &kernel, cfg).expect("factorize");
+    assert!(ft.is_complete());
+    let mismatch = |e: &SolverError, len: usize| matches!(e, SolverError::DimensionMismatch { expected: 512, got } if *got == len);
+    for len in [0, 511, 513] {
+        let mut b = vec![1.0; len];
+        assert!(ft.solve(&b).is_err_and(|e| mismatch(&e, len)), "solve, len {len}");
+        let err = ft.solve_in_place(&mut b).expect_err("solve_in_place");
+        assert!(mismatch(&err, len), "solve_in_place, len {len}: {err}");
+        assert_eq!(b, vec![1.0; len], "a rejected right-hand side is left untouched");
+    }
+    let mut b = Mat::zeros(500, 2);
+    let err = ft.solve_mat_in_place(&mut b).expect_err("solve_mat_in_place");
+    assert!(mismatch(&err, 500), "solve_mat_in_place: {err}");
+    assert_eq!((b.nrows(), b.ncols()), (500, 2));
+
+    let shared =
+        crate::SharedFactor::factorize(std::sync::Arc::new(st), std::sync::Arc::new(kernel), cfg)
+            .expect("sf");
+    let err = shared.solve_block_in_place(&mut b, &GmresOptions::default()).expect_err("block");
+    assert!(mismatch(&err, 500), "solve_block_in_place: {err}");
+}
+
+#[test]
 fn level_restricted_direct_matches_hybrid() {
     // Table V compares the hybrid (GMRES on the reduced system) against
     // the direct variant that LU-factorizes the coalesced 2^L s system.

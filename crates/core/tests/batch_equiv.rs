@@ -82,8 +82,8 @@ fn assert_factors_bitwise<K: kfds_kernels::Kernel>(
         assert_eq!(a.leaf_lu.is_some(), b.leaf_lu.is_some(), "leaf factor presence, node {i}");
         assert_eq!(a.z_lu.is_some(), b.z_lu.is_some(), "Z factor presence, node {i}");
         assert_mat_eq(a.p_hat.as_ref(), b.p_hat.as_ref(), "P-hat", i);
-        assert_mat_eq(a.v_lr.as_ref(), b.v_lr.as_ref(), "V_lr", i);
-        assert_mat_eq(a.v_rl.as_ref(), b.v_rl.as_ref(), "V_rl", i);
+        assert_mat_eq(a.v_lr.as_deref(), b.v_lr.as_deref(), "V_lr", i);
+        assert_mat_eq(a.v_rl.as_deref(), b.v_rl.as_deref(), "V_rl", i);
         assert_mat_eq(a.b_l.as_ref(), b.b_l.as_ref(), "B_l", i);
         assert_mat_eq(a.b_r.as_ref(), b.b_r.as_ref(), "B_r", i);
     }
@@ -272,5 +272,37 @@ fn batched_factorization_reports_level_breakdown() {
             l.op_groups,
             l.nodes
         );
+    }
+}
+
+#[test]
+fn refactor_shares_the_assembled_coupling_blocks_on_both_engines() {
+    // The stored V blocks of a refactor are the assembly store's own
+    // λ-independent blocks: the same allocation, not a copy.
+    let _guard = BATCH_TOGGLE.lock().unwrap();
+    let st = {
+        let _mode = BatchMode::force(true);
+        build_skeleton(13, 1)
+    };
+    let kernel = Gaussian::new(1.0);
+    for batched in [true, false] {
+        let _mode = BatchMode::force(batched);
+        let ft = factorize(&st, &kernel, SolverConfig::default().with_lambda(0.5)).expect("f");
+        let rf = ft.refactor(0.9).expect("refactor");
+        let blocks = rf.assembled_blocks().expect("a refactor carries its blocks");
+        let mut internal = 0;
+        for (i, f) in rf.factors().iter().enumerate() {
+            if f.z_lu.is_none() {
+                continue;
+            }
+            internal += 1;
+            let nb = blocks.node(i);
+            for (v, k, what) in [(&f.v_lr, &nb.k_lr, "V_lr"), (&f.v_rl, &nb.k_rl, "V_rl")] {
+                let v = v.as_ref().expect("stored V block");
+                let k = k.as_ref().expect("assembled coupling block");
+                assert!(Arc::ptr_eq(v, k), "batched={batched}: {what} of node {i} is a copy");
+            }
+        }
+        assert!(internal > 0, "fixture has no factored internal node");
     }
 }

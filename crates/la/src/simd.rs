@@ -19,6 +19,9 @@
 //! * GEMV ([`dgemv_add_avx2`]) with 4-column blocking so each `y` vector
 //!   load amortizes four FMA columns;
 //! * dot / axpy vector loops for BLAS-1 ([`dot_avx2`], [`axpy_avx2`]);
+//! * the exact neighbor search's selection-gate scan ([`next_not_above`]):
+//!   a distance-tile column against the queries' current k-th-best
+//!   distances, so only the rare entries that can enter a heap reach it;
 //! * a vectorized polynomial `exp` ([`vexp`]) for the Gaussian/Laplacian
 //!   kernel transforms (paper §II-D evaluates the kernel inside the
 //!   register tile; a scalar `exp` call per element destroys the fusion
@@ -31,8 +34,8 @@
 //! * the CPU must report AVX2 **and** FMA (`is_x86_feature_detected!`);
 //!   on other targets the portable scalar paths are the implementation
 //!   (no unconditional `std::arch::x86_64` imports anywhere);
-//! * where an 8-wide body exists ([`vexp`], [`gsks_exp_rows_8`], the
-//!   transposed GEMV) it is picked ahead of the AVX2 body when the CPU
+//! * where an 8-wide body exists ([`vexp`], [`gsks_exp_rows_8`],
+//!   [`next_not_above`], the transposed GEMV) it is picked ahead of the AVX2 body when the CPU
 //!   also reports `avx512f` ([`avx512_active`]); the order is AVX-512 →
 //!   AVX2 → scalar;
 //! * the `KFDS_SIMD=off` (or `=0`) environment kill-switch — mirroring
@@ -375,6 +378,47 @@ pub fn dist_epilogue(g: &mut [f64], row_norms: &[f64], col_norm: f64) {
     }
 }
 
+/// The selection-gate scan of the exact neighbor search: the first
+/// `i >= from` with `!(vals[i] > bounds[i])`, or `vals.len()` if there is
+/// none.
+///
+/// `vals` is one column of a distance tile and `bounds[i]` the current
+/// k-th-best distance of query `i`; only the rows this returns can enter
+/// a bounded heap. The negated `>` lets NaN through (as it does `+∞`
+/// against an `+∞` bound and a tie `vals[i] == bounds[i]`), so the gate is
+/// a superset of every candidate a heap push could accept. Dispatches to
+/// an 8-wide AVX-512 body when [`avx512_active`], a 4-wide AVX2 one when
+/// [`active`], the scalar loop otherwise; all three return the same index
+/// (`_CMP_GT_OQ` is IEEE `>`).
+///
+/// # Panics
+/// Panics if `bounds.len() != vals.len()` or `from > vals.len()`.
+pub fn next_not_above(vals: &[f64], bounds: &[f64], from: usize) -> usize {
+    assert_eq!(vals.len(), bounds.len(), "next_not_above: length mismatch");
+    assert!(from <= vals.len(), "next_not_above: start past the end");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx512_active() {
+            // SAFETY: avx512_active() implies AVX-512F; lengths and start
+            // asserted above.
+            return unsafe { x86::next_not_above_avx512(vals, bounds, from) };
+        }
+        if active() {
+            // SAFETY: active() implies AVX2; lengths and start asserted
+            // above.
+            return unsafe { x86::next_not_above_avx2(vals, bounds, from) };
+        }
+    }
+    next_not_above_scalar(vals, bounds, from)
+}
+
+/// Portable body of [`next_not_above`].
+fn next_not_above_scalar(vals: &[f64], bounds: &[f64], from: usize) -> usize {
+    (from..vals.len())
+        .find(|&i| vals[i].partial_cmp(&bounds[i]) != Some(std::cmp::Ordering::Greater))
+        .unwrap_or(vals.len())
+}
+
 /// `true` if this CPU additionally supports the 8-wide AVX-512 variants
 /// (the baseline vector kernels require only AVX2+FMA). Immutable for the
 /// process lifetime, like [`cpu_supported`]; gated by the same
@@ -538,6 +582,72 @@ mod x86 {
             *gp.add(i) = (-2.0f64).mul_add(*gp.add(i), *rp.add(i) + cn).max(0.0);
             i += 1;
         }
+    }
+
+    /// 4-wide body of [`super::next_not_above`]: one `_CMP_GT_OQ` compare
+    /// per vector, the first clear bit of its movemask is the answer; the
+    /// tail runs the scalar test.
+    ///
+    /// # Safety
+    /// Requires AVX2. `vals` and `bounds` must have equal lengths and
+    /// `from <= vals.len()` (checked by the safe caller).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn next_not_above_avx2(vals: &[f64], bounds: &[f64], from: usize) -> usize {
+        debug_assert!(super::cpu_supported(), "next_not_above_avx2 needs AVX2");
+        debug_assert_eq!(vals.len(), bounds.len());
+        debug_assert!(from <= vals.len());
+        let n = vals.len();
+        let (vp, bp) = (vals.as_ptr(), bounds.as_ptr());
+        let mut i = from;
+        while i + 4 <= n {
+            let gt =
+                _mm256_cmp_pd::<_CMP_GT_OQ>(_mm256_loadu_pd(vp.add(i)), _mm256_loadu_pd(bp.add(i)));
+            let pass = !_mm256_movemask_pd(gt) & 0xf;
+            if pass != 0 {
+                return i + pass.trailing_zeros() as usize;
+            }
+            i += 4;
+        }
+        super::next_not_above_scalar(vals, bounds, i)
+    }
+
+    /// 8-wide body of [`super::next_not_above`]: the compare yields a lane
+    /// mask directly; the tail is a masked load whose dead lanes are
+    /// masked out of the answer.
+    ///
+    /// # Safety
+    /// Requires AVX-512F. `vals` and `bounds` must have equal lengths and
+    /// `from <= vals.len()` (checked by the safe caller).
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn next_not_above_avx512(vals: &[f64], bounds: &[f64], from: usize) -> usize {
+        debug_assert!(super::avx512_supported(), "next_not_above_avx512 needs AVX-512F");
+        debug_assert_eq!(vals.len(), bounds.len());
+        debug_assert!(from <= vals.len());
+        let n = vals.len();
+        let (vp, bp) = (vals.as_ptr(), bounds.as_ptr());
+        let mut i = from;
+        while i + 8 <= n {
+            let gt = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(
+                _mm512_loadu_pd(vp.add(i)),
+                _mm512_loadu_pd(bp.add(i)),
+            );
+            if gt != 0xff {
+                return i + (!gt).trailing_zeros() as usize;
+            }
+            i += 8;
+        }
+        if i < n {
+            let live: __mmask8 = (1u8 << (n - i)) - 1;
+            let gt = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(
+                _mm512_maskz_loadu_pd(live, vp.add(i)),
+                _mm512_maskz_loadu_pd(live, bp.add(i)),
+            );
+            let pass = !gt & live;
+            if pass != 0 {
+                return i + pass.trailing_zeros() as usize;
+            }
+        }
+        n
     }
 
     /// Vector dot product with four independent FMA accumulators.
@@ -1260,6 +1370,82 @@ mod tests {
                             "{form:?} d={d} tiles={tiles} row {r}: {g} vs {want}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// A selection-gate body: `(vals, bounds, from) -> index`.
+    type GateBody = fn(&[f64], &[f64], usize) -> usize;
+
+    /// Every gate body this host runs: the dispatched [`next_not_above`],
+    /// the scalar loop, and the AVX2 and AVX-512 bodies called directly
+    /// behind their CPU checks.
+    fn gate_bodies() -> Vec<(&'static str, GateBody)> {
+        let mut out: Vec<(&'static str, GateBody)> =
+            vec![("dispatch", next_not_above), ("scalar", next_not_above_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if cpu_supported() {
+                // SAFETY: only pushed after the AVX2 check; every test call
+                // passes equal lengths and an in-range start.
+                out.push(("avx2", |v, b, f| unsafe { x86::next_not_above_avx2(v, b, f) }));
+            }
+            if avx512_supported() {
+                // SAFETY: only pushed after the AVX-512F check; same
+                // argument contract as above.
+                out.push(("avx512", |v, b, f| unsafe { x86::next_not_above_avx512(v, b, f) }));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn gate_scan_finds_every_admissible_row_on_all_bodies() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        // Lengths straddle both vector widths; the pass set mixes a plain
+        // `<`, a tie, ±0 both ways, NaN values and bounds, and ∞ bounds
+        // (a heap still short of k); `>` rows must be skipped.
+        let pool: [(f64, f64, bool); 12] = [
+            (2.0, 1.0, false),
+            (1.0, 2.0, true),
+            (1.5, 1.5, true),
+            (0.0, -0.0, true),
+            (-0.0, 0.0, true),
+            (nan, 1.0, true),
+            (1.0, nan, true),
+            (5.0, inf, true),
+            (inf, inf, true),
+            (inf, 1e308, false),
+            (1e-300, 0.0, false),
+            (3.0, 2.999_999_999_999_999_6, false),
+        ];
+        let mut state = 0x3c6ef372fe94f82bu64;
+        for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 128, 131] {
+            for density in [0u64, 1, 4] {
+                let mut vals = vec![0.0; n];
+                let mut bounds = vec![0.0; n];
+                let mut want_pass = vec![false; n];
+                for i in 0..n {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let pick = if density > 0 && (state >> 33) % 8 < density {
+                        (state >> 40) as usize % pool.len()
+                    } else {
+                        0 // a rejected row
+                    };
+                    (vals[i], bounds[i], want_pass[i]) = pool[pick];
+                }
+                let want: Vec<usize> = (0..n).filter(|&i| want_pass[i]).collect();
+                for (name, body) in gate_bodies() {
+                    let mut got = Vec::new();
+                    let mut i = body(&vals, &bounds, 0);
+                    while i < n {
+                        got.push(i);
+                        i = body(&vals, &bounds, i + 1);
+                    }
+                    assert_eq!(i, n, "{name} n={n}: overshoot");
+                    assert_eq!(got, want, "{name} n={n} density={density}");
+                    assert_eq!(body(&vals, &bounds, n), n, "{name} n={n}: start at end");
                 }
             }
         }

@@ -5,16 +5,19 @@
 //! neighbors used for skeletonization sampling").
 //!
 //! * The exact search is a dual-tree / leaf-blocked all-nearest-neighbors
-//!   traversal — node-vs-node ball bounds prune against the *max* of a
-//!   query leaf's current k-th-best radii, and each surviving leaf×leaf
-//!   pair resolves as one GEMM distance tile
-//!   ([`crate::dist_tiles::dist_tile_ranges`]) feeding per-query [`KBest`]
-//!   heaps.
+//!   traversal — a node-vs-node ball bound against the *max* of a query
+//!   leaf's current k-th-best radii, then a per-query ball bound, prune
+//!   candidate nodes; each surviving leaf×leaf pair resolves as one GEMM
+//!   distance tile ([`crate::dist_tiles::dist_tile_ranges`]) whose
+//!   columns pass a SIMD selection gate
+//!   ([`kfds_la::simd::next_not_above`]) before the few admissible
+//!   entries reach the per-query [`KBest`] heaps.
 //! * The approximate search batches the projection-tree split keys (one
 //!   SIMD dot per point per split, cached outside the
-//!   `select_nth_unstable_by` comparator), scores every bucket as one
-//!   symmetric GEMM tile, and merges each query's tile rows through a
-//!   duplicate-rejecting heap.
+//!   `select_nth_unstable_by` comparator), then merges bucket-major: tree
+//!   by tree, each bucket is scored as one symmetric GEMM tile in pooled
+//!   scratch and its rows go straight into the members' duplicate-
+//!   rejecting heaps.
 //!
 //! Both order every neighbor list by `(distance, index)` and recompute the
 //! reported distances with the scalar [`sq_dist`], so the exact search is
@@ -24,7 +27,7 @@
 use crate::balltree::BallTree;
 use crate::dist_tiles;
 use crate::points::{sq_dist, PointSet};
-use kfds_la::{workspace, MatMut};
+use kfds_la::{simd, workspace, MatMut};
 use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -171,6 +174,7 @@ pub fn knn_all(tree: &BallTree, k: usize) -> NeighborLists {
     let mut norms = workspace::take(n);
     pts.sq_norms_into(&mut norms);
     let norms: &[f64] = &norms;
+    let slack = prune_slack(pts.dim(), norms);
 
     let mut idx = vec![0u32; n * k];
     let mut dist = vec![0.0f64; n * k];
@@ -191,19 +195,42 @@ pub fn knn_all(tree: &BallTree, k: usize) -> NeighborLists {
     }
 
     jobs.into_par_iter().for_each(|(lf, irow, drow)| {
-        leaf_all_nn(tree, norms, lf, k, irow, drow);
+        leaf_all_nn(tree, norms, slack, lf, k, irow, drow);
     });
 
     NeighborLists { k, idx, dist }
 }
 
+/// Safety margin of the prune tests: an upper bound on how far a tile
+/// distance can undershoot the geometric lower bound it is tested against.
+///
+/// A tile entry carries the Gram-identity residual, at most about
+/// `2(d+2)·eps·(‖x‖² + ‖y‖²)`, and the ball bound's own `sqrt` and
+/// radius rounding is of the same order relative to `max ‖y‖²` (centers
+/// and radii are within `2·max ‖y‖` of the origin). `64(d+2)·eps·max ‖y‖²`
+/// covers both, and is far below any distance gap a prune relies on.
+fn prune_slack(d: usize, sq_norms: &[f64]) -> f64 {
+    let max_norm = sq_norms.iter().fold(0.0f64, |a, &b| a.max(b));
+    64.0 * (d + 2) as f64 * f64::EPSILON * max_norm
+}
+
 /// All-nearest-neighbors for the queries of one leaf: self tile first (to
-/// tighten τ), then a closer-child-first DFS over candidate nodes, pruning
-/// node `C` when even the best-placed query cannot improve —
-/// `max(0, ‖c_Q − c_C‖ − r_Q − r_C)² ≥ τ` with `τ = max_i worst_i`.
+/// tighten the radii), then a closer-child-first DFS over candidate nodes.
+///
+/// A node `C` is skipped when no query can improve on it. The cheap
+/// first test compares the node-to-node gap against the largest radius,
+/// `max(0, ‖c_Q − c_C‖ − r_Q − r_C)² > max_i worst_i + slack`; the
+/// per-query test then compares each query's own bound,
+/// `max(0, ‖x_i − c_C‖ − r_C)² > worst_i + slack` for every `i`, so one
+/// outlier query no longer keeps every node alive. Both are strict and
+/// padded by [`prune_slack`]: a candidate at exactly `worst_i` with a
+/// smaller index still enters a heap, and tile distances carry the
+/// Gram-identity residual, so a prune never drops a candidate the full
+/// scan would have kept.
 fn leaf_all_nn(
     tree: &BallTree,
     norms: &[f64],
+    slack: f64,
     lf: usize,
     k: usize,
     irow: &mut [u32],
@@ -216,9 +243,12 @@ fn leaf_all_nn(
 
     let mut tile = workspace::take(m * tree.leaf_size());
     let mut best: Vec<KBest> = (0..m).map(|_| KBest::new(k)).collect();
+    // The gate's bounds, kept equal to `best[i].worst()` at all times.
+    let mut worst = workspace::take(m);
+    worst.fill(f64::INFINITY);
 
-    score_leaf_pair(pts, norms, qr.clone(), qr.clone(), &mut tile, &mut best, true);
-    let mut tau = best.iter().map(KBest::worst).fold(0.0f64, f64::max);
+    score_leaf_pair(pts, norms, qr.clone(), qr.clone(), &mut tile, &mut best, &mut worst, true);
+    let mut tau = worst.iter().fold(0.0f64, |a, &w| a.max(w));
 
     let (qc, qrad) = (&nd.center, nd.radius);
     let mut stack: Vec<usize> = Vec::with_capacity(2 * tree.depth() + 2);
@@ -229,12 +259,28 @@ fn leaf_all_nn(
         }
         let cn = tree.node(c);
         let gap = (sq_dist(qc, &cn.center).sqrt() - qrad - cn.radius).max(0.0);
-        if gap * gap >= tau {
+        if gap * gap > tau + slack {
+            continue;
+        }
+        let beyond_every_query = qr.clone().zip(worst.iter()).all(|(i, &w)| {
+            let lb = (sq_dist(pts.point(i), &cn.center).sqrt() - cn.radius).max(0.0);
+            lb * lb > w + slack
+        });
+        if beyond_every_query {
             continue;
         }
         if cn.is_leaf() {
-            score_leaf_pair(pts, norms, qr.clone(), cn.range(), &mut tile, &mut best, false);
-            tau = best.iter().map(KBest::worst).fold(0.0f64, f64::max);
+            score_leaf_pair(
+                pts,
+                norms,
+                qr.clone(),
+                cn.range(),
+                &mut tile,
+                &mut best,
+                &mut worst,
+                false,
+            );
+            tau = worst.iter().fold(0.0f64, |a, &w| a.max(w));
         } else {
             let (l, r) = cn.children.expect("internal node");
             let dl = sq_dist(qc, &tree.node(l).center);
@@ -271,6 +317,15 @@ fn leaf_all_nn(
 /// Scores one leaf×leaf pair through a GEMM distance tile and feeds the
 /// query heaps. `self_block` skips the diagonal (a query is not its own
 /// neighbor).
+///
+/// Each tile column (one candidate) is scanned against the queries'
+/// current k-th-best distances `worst` with the
+/// [`kfds_la::simd::next_not_above`] gate; only the rows it returns reach
+/// [`KBest::push`], and `worst` is refreshed after each push. The gate
+/// passes everything a push could accept (NaN while a heap is short, and
+/// a tie that wins on index), so the heaps evolve exactly as if every
+/// entry were pushed.
+#[allow(clippy::too_many_arguments)]
 fn score_leaf_pair(
     pts: &PointSet,
     norms: &[f64],
@@ -278,6 +333,7 @@ fn score_leaf_pair(
     c: Range<usize>,
     tile: &mut [f64],
     best: &mut [KBest],
+    worst: &mut [f64],
     self_block: bool,
 ) {
     let (m, nc) = (q.len(), c.len());
@@ -286,11 +342,13 @@ fn score_leaf_pair(
     for j in 0..nc {
         let col = &tile[j * m..(j + 1) * m];
         let cid = (c.start + j) as u32;
-        for (i, b) in best.iter_mut().enumerate() {
-            if self_block && i == j {
-                continue;
+        let mut i = simd::next_not_above(col, worst, 0);
+        while i < m {
+            if !(self_block && i == j) {
+                best[i].push(col[i], cid);
+                worst[i] = best[i].worst();
             }
-            b.push(col[i], cid);
+            i = simd::next_not_above(col, worst, i + 1);
         }
     }
 }
@@ -306,9 +364,12 @@ fn score_leaf_pair(
 /// indices refer to the *permuted* positions of `tree`, like [`knn_all`].
 ///
 /// The trees split on batched, cached projection keys (one SIMD dot per
-/// point per split), every bucket is scored as one symmetric GEMM tile
-/// ([`crate::dist_tiles::dist_tile_sym`]), and each query's tile rows merge
-/// through a duplicate-rejecting heap.
+/// point per split). The merge is bucket-major: tree by tree, every bucket
+/// is scored as one symmetric GEMM tile
+/// ([`crate::dist_tiles::dist_tile_sym`]) in pooled scratch and its rows
+/// merge into the members' duplicate-rejecting heaps while the tile is in
+/// cache. Each heap sees its candidates in tree order, then bucket-column
+/// order, so the lists do not depend on the thread count.
 ///
 /// # Panics
 /// Panics if `k >= n`, `k == 0`, or `n_trees == 0`.
@@ -326,80 +387,52 @@ pub fn knn_approximate(tree: &BallTree, k: usize, n_trees: usize, seed: u64) -> 
         .map(|t| projection_tree_buckets(pts, t, seed, bucket))
         .collect();
 
-    // Invert: members per (tree, bucket) (ascending within each bucket),
-    // plus each point's row rank inside its bucket — the tile row it owns.
-    let mut members: Vec<Vec<Vec<u32>>> = Vec::with_capacity(n_trees);
-    let mut ranks: Vec<Vec<u32>> = Vec::with_capacity(n_trees);
+    let mut norms = workspace::take(n);
+    pts.sq_norms_into(&mut norms);
+    let norms: &[f64] = &norms;
+
+    let mut best: Vec<KBest> = (0..n).map(|_| KBest::new(k)).collect();
     for assignment in &buckets {
+        // A tree's buckets partition the points: hand every bucket its
+        // members (ascending) together with the `&mut` of their heaps, in
+        // the same order, so a member's rank is its tile row.
         let nb = assignment.iter().copied().max().unwrap_or(0) as usize + 1;
-        let mut m = vec![Vec::new(); nb];
-        let mut r = vec![0u32; n];
-        for (i, &b) in assignment.iter().enumerate() {
-            r[i] = m[b as usize].len() as u32;
-            m[b as usize].push(i as u32);
+        let mut groups: Vec<(Vec<u32>, Vec<&mut KBest>)> =
+            (0..nb).map(|_| (Vec::new(), Vec::new())).collect();
+        for (q, (heap, &b)) in best.iter_mut().zip(assignment).enumerate() {
+            let (mem, heaps) = &mut groups[b as usize];
+            mem.push(q as u32);
+            heaps.push(heap);
         }
-        members.push(m);
-        ranks.push(r);
+        groups.into_par_iter().for_each(|(mem, mut heaps)| {
+            let len = mem.len();
+            let mut tile = workspace::take(len * len);
+            dist_tiles::dist_tile_sym(
+                pts,
+                norms,
+                &mem,
+                MatMut::from_parts(&mut tile, len, len, len),
+            );
+            // Member `row` reads its tile row; cross-tree duplicates carry
+            // bitwise-equal tile distances.
+            for (row, (heap, &q)) in heaps.iter_mut().zip(&mem).enumerate() {
+                for (jj, &c) in mem.iter().enumerate() {
+                    if c != q {
+                        heap.push_distinct(tile[jj * len + row], c);
+                    }
+                }
+            }
+        });
     }
 
     let mut idx_out = vec![0u32; n * k];
     let mut dist_out = vec![0.0f64; n * k];
-
-    let mut norms = workspace::take(n);
-    pts.sq_norms_into(&mut norms);
-    // Every bucket scores all its members against each other as one
-    // symmetric GEMM tile (O(T · N · bucket · d) flops, all BLAS-3);
-    // per-query merging then just reads precomputed tile rows. The flat
-    // tile buffer costs O(T · N · bucket) pooled memory — the same
-    // order as the candidate lists themselves.
-    let mut offsets: Vec<Vec<usize>> = Vec::with_capacity(n_trees);
-    let mut total = 0usize;
-    for m in &members {
-        let mut offs = Vec::with_capacity(m.len());
-        for mem in m {
-            offs.push(total);
-            total += mem.len() * mem.len();
-        }
-        offsets.push(offs);
-    }
-    let mut tiles = workspace::take(total);
-    let mut jobs: Vec<(usize, usize, &mut [f64])> = Vec::new();
-    let mut rest: &mut [f64] = &mut tiles;
-    for (t, m) in members.iter().enumerate() {
-        for (b, mem) in m.iter().enumerate() {
-            let (tile, tail) = rest.split_at_mut(mem.len() * mem.len());
-            rest = tail;
-            jobs.push((t, b, tile));
-        }
-    }
-    jobs.into_par_iter().for_each(|(t, b, tile)| {
-        let mem = &members[t][b];
-        let len = mem.len();
-        dist_tiles::dist_tile_sym(pts, &norms, mem, MatMut::from_parts(tile, len, len, len));
-    });
-
-    idx_out.par_chunks_mut(k).zip(dist_out.par_chunks_mut(k)).enumerate().for_each(
-        |(q, (irow, drow))| {
-            // The query's row of each tree's bucket tile already holds
-            // the distances to that tree's candidates; merge the rows
-            // through a duplicate-rejecting heap (cross-tree duplicates
-            // carry bitwise-equal tile distances).
-            let mut best = KBest::new(k);
-            for t in 0..n_trees {
-                let b = buckets[t][q] as usize;
-                let mem = &members[t][b];
-                let len = mem.len();
-                let row = ranks[t][q] as usize;
-                let tile = &tiles[offsets[t][b]..offsets[t][b] + len * len];
-                for (jj, &c) in mem.iter().enumerate() {
-                    if c as usize != q {
-                        best.push_distinct(tile[jj * len + row], c);
-                    }
-                }
-            }
-            finalize_approx_row(pts, q, best, k, irow, drow);
-        },
-    );
+    idx_out
+        .par_chunks_mut(k)
+        .zip(dist_out.par_chunks_mut(k))
+        .zip(best.into_par_iter())
+        .enumerate()
+        .for_each(|(q, ((irow, drow), heap))| finalize_approx_row(pts, q, heap, k, irow, drow));
 
     NeighborLists { k, idx: idx_out, dist: dist_out }
 }
@@ -607,13 +640,50 @@ mod tests {
 
     #[test]
     fn exact_knn_matches_brute_force_bitwise() {
-        // Well-separated random points: distances AND indices must
-        // reproduce the brute-force (dist, idx) order exactly.
-        for &(n, d, k, leaf, seed) in &[(300, 8, 7, 16, 4u64), (180, 4, 6, 8, 15)] {
-            let t = BallTree::build(&rand_points(n, d, seed), leaf);
-            let fast = knn_all(&t, k);
-            let slow = knn_brute_force(&t, k);
-            assert_lists_bitwise_eq(&fast, &slow, n, "exact vs brute");
+        // Distances AND indices must reproduce the brute-force (dist, idx)
+        // order exactly: well-separated random points; the fit_hybrid_susy
+        // shape at a quarter of its size (5 intrinsic dimensions in 8,
+        // 64-point leaves, k = 16); and two n that are not a multiple of
+        // the leaf size, so leaves differ in size.
+        use crate::datasets::normal_embedded;
+        let cases = [
+            (rand_points(300, 8, 4), 16, 7),
+            (rand_points(180, 4, 15), 8, 6),
+            (normal_embedded(4096, 5, 8, 0.1, 11), 64, 16),
+            (normal_embedded(1000, 3, 6, 0.1, 23), 64, 9),
+            (normal_embedded(777, 3, 6, 0.1, 29), 32, 16),
+        ];
+        for (p, leaf, k) in cases {
+            let n = p.len();
+            let t = BallTree::build(&p, leaf);
+            let what = format!("exact vs brute, n {n}, leaf {leaf}, k {k}");
+            assert_lists_bitwise_eq(&knn_all(&t, k), &knn_brute_force(&t, k), n, &what);
+        }
+    }
+
+    /// A 6 x 6 x 6 integer lattice (exactly representable, so every tile
+    /// distance is exact and equal distances tie exactly) whose first 60
+    /// sites are repeated up to seven times.
+    fn tied_points() -> PointSet {
+        let mut p = PointSet::with_capacity(3, 400);
+        for s in 0..216usize {
+            let site = [(s % 6) as f64, ((s / 6) % 6) as f64, (s / 36) as f64];
+            let copies = if s < 60 { 1 + s % 7 } else { 1 };
+            for _ in 0..copies {
+                p.push(&site);
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn exact_knn_breaks_distance_ties_by_index_like_brute_force() {
+        let p = tied_points();
+        let n = p.len();
+        for &(leaf, k) in &[(8, 3), (8, 6), (16, 4), (32, 12)] {
+            let t = BallTree::build(&p, leaf);
+            let what = format!("ties, leaf {leaf}, k {k}");
+            assert_lists_bitwise_eq(&knn_all(&t, k), &knn_brute_force(&t, k), n, &what);
         }
     }
 
@@ -660,6 +730,86 @@ mod tests {
         let approx1 = knn_approximate(&t, 8, 1, 42);
         let r1 = knn_recall(&exact, &approx1);
         assert!(recall >= r1 - 0.05, "6 trees {recall} vs 1 tree {r1}");
+    }
+
+    /// The flat-buffer approximate search: every bucket tile of every tree
+    /// in one buffer, then each query merges its row of each tree's tile.
+    /// The reference the bucket-major merge must reproduce bitwise.
+    fn knn_approximate_flat(tree: &BallTree, k: usize, n_trees: usize, seed: u64) -> NeighborLists {
+        let pts = tree.points();
+        let n = pts.len();
+        let bucket = (4 * k).max(32).min(n);
+        let buckets: Vec<Vec<u32>> =
+            (0..n_trees).map(|t| projection_tree_buckets(pts, t, seed, bucket)).collect();
+        let mut members: Vec<Vec<Vec<u32>>> = Vec::new();
+        let mut ranks: Vec<Vec<usize>> = Vec::new();
+        for assignment in &buckets {
+            let nb = assignment.iter().copied().max().unwrap_or(0) as usize + 1;
+            let mut m = vec![Vec::new(); nb];
+            let mut r = vec![0; n];
+            for (i, &b) in assignment.iter().enumerate() {
+                r[i] = m[b as usize].len();
+                m[b as usize].push(i as u32);
+            }
+            members.push(m);
+            ranks.push(r);
+        }
+        let norms = pts.sq_norms();
+        let mut offsets: Vec<Vec<usize>> = Vec::new();
+        let mut tiles: Vec<f64> = Vec::new();
+        for m in &members {
+            let mut offs = Vec::new();
+            for mem in m {
+                offs.push(tiles.len());
+                let len = mem.len();
+                let mut tile = vec![0.0; len * len];
+                dist_tiles::dist_tile_sym(
+                    pts,
+                    &norms,
+                    mem,
+                    MatMut::from_parts(&mut tile, len, len, len),
+                );
+                tiles.extend_from_slice(&tile);
+            }
+            offsets.push(offs);
+        }
+        let mut idx = vec![0u32; n * k];
+        let mut dist = vec![0.0f64; n * k];
+        for q in 0..n {
+            let mut best = KBest::new(k);
+            for t in 0..n_trees {
+                let b = buckets[t][q] as usize;
+                let mem = &members[t][b];
+                let (len, row) = (mem.len(), ranks[t][q]);
+                let tile = &tiles[offsets[t][b]..offsets[t][b] + len * len];
+                for (jj, &c) in mem.iter().enumerate() {
+                    if c as usize != q {
+                        best.push_distinct(tile[jj * len + row], c);
+                    }
+                }
+            }
+            let (irow, drow) = (&mut idx[q * k..(q + 1) * k], &mut dist[q * k..(q + 1) * k]);
+            finalize_approx_row(pts, q, best, k, irow, drow);
+        }
+        NeighborLists { k, idx, dist }
+    }
+
+    #[test]
+    fn approximate_knn_matches_the_flat_buffer_merge_bitwise() {
+        // n is not a multiple of any bucket size; k = 1 and 8 use 32-point
+        // buckets, k = 16 64-point ones.
+        for &(n, d, seed) in &[(1000usize, 12usize, 3u64), (2333, 24, 17), (517, 6, 99)] {
+            let p = crate::datasets::normal_embedded(n, 4, d, 0.05, seed);
+            let t = BallTree::build(&p, 32);
+            for k in [1usize, 8, 16] {
+                for (n_trees, tseed) in [(1usize, seed), (4, seed + 1), (8, 42)] {
+                    let what = format!("n {n} k {k} trees {n_trees} seed {tseed}");
+                    let got = knn_approximate(&t, k, n_trees, tseed);
+                    let want = knn_approximate_flat(&t, k, n_trees, tseed);
+                    assert_lists_bitwise_eq(&got, &want, n, &what);
+                }
+            }
+        }
     }
 
     #[test]
